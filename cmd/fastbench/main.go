@@ -10,7 +10,7 @@
 //	fastbench -bench -workers 1,2,4 -variants sep,share -json bench.json
 //	fastbench -bench -workers 4 -pworkers 1 -json serial-producer.json
 //	fastbench -bench -workers 1,2 -limits 0,1000 -mtimeout 30s -json bench.json
-//	fastbench -bench -workers 1 -reps 1 -compare BENCH_pr3.json
+//	fastbench -bench -workers 1 -reps 1 -limits 0,2000 -compare BENCH_pr10.json
 //	fastbench -bench -workers 1 -cpuprofile cpu.pprof -memprofile mem.pprof
 //
 // Each experiment prints one or more aligned text tables; EXPERIMENTS.md

@@ -165,9 +165,10 @@ func (e *Engine) MatchContext(ctx context.Context, q *graph.Query, opts ...Match
 // Result. Context cancellation stops the stream with
 // ErrCanceled/context.DeadlineExceeded the same way.
 //
-// With Workers <= 1 and deterministic plans the emission order is the
-// sequential pipeline's; with Workers > 1 embeddings arrive in unspecified
-// order (calls are still serialized). Embeddings are only materialised into
+// With Workers <= 1 and deterministic plans the emission order is
+// deterministic too (FPGA-bound partitions in producer order, then the CPU
+// δ-share); with Workers > 1 embeddings arrive in unspecified order (calls
+// are still serialized). Embeddings are only materialised into
 // Result.Embeddings when WithCollect(true) (or the engine's
 // CollectEmbeddings) asks for it.
 func (e *Engine) MatchStream(ctx context.Context, q *graph.Query, emit func(graph.Embedding) error, opts ...MatchOption) (*Result, error) {

@@ -76,7 +76,7 @@ func BenchmarkPartitionConcurrent(b *testing.B) {
 	c, o, cfg := benchInput(b, "q1", 200)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		PartitionConcurrent(c, o, cfg, ConcurrentOptions{Workers: 2, Ordered: true}, func(*CST) {})
+		PartitionConcurrent(c, o, cfg, 2, func(*CST) {})
 	}
 }
 

@@ -75,8 +75,8 @@ func TestRestrictCancelBoundedLatency(t *testing.T) {
 
 // TestPartitionCancelMidRestrict: the partitioners must treat a nil
 // (cancelled) restrict as "stop producing" — sequential recursion returns,
-// the unordered pool drains, and ordered mode still closes every ready
-// channel so its drain never blocks.
+// and the concurrent producer still closes every ready channel so its drain
+// never blocks.
 func TestPartitionCancelMidRestrict(t *testing.T) {
 	c, _ := bigRestrictCST(t)
 	o := order.PathBased(c.Tree, c)
@@ -98,11 +98,8 @@ func TestPartitionCancelMidRestrict(t *testing.T) {
 		{"sequential", func(cfg PartitionConfig, process func(*CST)) int {
 			return Partition(c, o, cfg, process)
 		}},
-		{"unordered", func(cfg PartitionConfig, process func(*CST)) int {
-			return PartitionConcurrent(c, o, cfg, ConcurrentOptions{Workers: 4}, process)
-		}},
 		{"ordered", func(cfg PartitionConfig, process func(*CST)) int {
-			return PartitionConcurrent(c, o, cfg, ConcurrentOptions{Workers: 4, Ordered: true}, process)
+			return PartitionConcurrent(c, o, cfg, 4, process)
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -8,58 +8,6 @@ import (
 	"fastmatch/internal/order"
 )
 
-// ConcurrentOptions configures PartitionConcurrent.
-type ConcurrentOptions struct {
-	// Workers is the size of the bounded task pool the restrict-and-recurse
-	// steps run on; <= 1 degrades to the sequential Partition.
-	Workers int
-	// Ordered replays the exact sequential schedule: process calls and
-	// cfg.Steal offers happen on the caller's goroutine, in the order and
-	// with the arguments Partition would use, while the restrict work for
-	// upcoming pieces runs ahead on the pool. Without Ordered, pieces are
-	// streamed to process from the worker goroutines as soon as they become
-	// valid, in nondeterministic order.
-	Ordered bool
-}
-
-// PartitionConcurrent is Partition with the producer itself parallelised:
-// Algorithm 2's recursion is unrolled into a bounded task pool in which every
-// restrict-and-recurse step on a still-violating piece is an independently
-// schedulable task, so on a multi-core host the partitioner no longer
-// serialises in front of the kernel fan-out (the Amdahl bottleneck the
-// ROADMAP names once kernels drain in parallel). The produced pieces are
-// identical to Partition's — restrict is deterministic and the split tree
-// does not depend on execution order — only the goroutine and (in unordered
-// mode) the order of delivery differ.
-//
-// In unordered mode process is invoked concurrently from the pool goroutines
-// and must be safe for concurrent calls; cfg.Steal is serialised internally
-// (offers never overlap, so the FAST-SHARE δ-share hook needs no locking of
-// its own), but the offer order is nondeterministic, so a stateful Steal may
-// accept different pieces run to run. Disjointness and union-exactness of
-// the pieces hold regardless, so totals that sum over pieces are unaffected.
-//
-// In ordered mode the caller's goroutine delivers process calls and Steal
-// offers in the byte-identical sequential order while workers speculatively
-// restrict ahead; a piece Steal accepts has its subtree marked abandoned, so
-// speculating workers skip its descendants instead of materialising pieces
-// the drain will discard (already-computed pieces are simply dropped). This
-// is the mode host.Match uses: Algorithm 3's δ routing sees partitions in
-// the exact order the sequential pipeline does, keeping the δ split,
-// partition counts and embedding totals deterministic.
-//
-// The return value counts processed plus stolen pieces, exactly like
-// Partition (deterministic in ordered mode and whenever cfg.Steal is nil).
-func PartitionConcurrent(c *CST, o order.Order, cfg PartitionConfig, opt ConcurrentOptions, process func(*CST)) int {
-	if opt.Workers <= 1 {
-		return Partition(c, o, cfg, process)
-	}
-	if opt.Ordered {
-		return partitionOrdered(c, o, cfg, opt.Workers, process)
-	}
-	return partitionUnordered(c, o, cfg, opt.Workers, process)
-}
-
 // partitionPool is a bounded LIFO task pool. LIFO scheduling makes the
 // workers expand the split tree depth-first, which keeps the set of live
 // intermediate CSTs close to the sequential recursion's footprint instead of
@@ -182,94 +130,7 @@ func splitAt(cur *CST, o order.Order, cfg PartitionConfig, index int) (u int, k 
 	return u, k
 }
 
-// partitionUnordered streams valid pieces to process from the workers as
-// they appear. Structure mirrors Partition's rec exactly; each chunk's
-// restrict is its own task, and each task executes its first child inline so
-// the queue only carries the extra parallelism.
-func partitionUnordered(c *CST, o order.Order, cfg PartitionConfig, workers int, process func(*CST)) int {
-	var (
-		count   atomic.Int64
-		stealMu sync.Mutex
-		pool    = newPartitionPool(cfg.Cancel)
-	)
-	// Tasks observe a sibling's panic the way they observe a cancellation:
-	// the pool folds its abort flag into the stop poll, so after a worker
-	// panic the remaining tasks drain cheaply and the pool quiesces.
-	cfg.Cancel = pool.cancelled
-	steal := func(cur *CST) bool {
-		if cfg.Steal == nil {
-			return false
-		}
-		stealMu.Lock()
-		defer stealMu.Unlock()
-		return cfg.Steal(cur)
-	}
-	var handle func(sc *restrictScratch, cur *CST, index int)
-	var handleChunk func(sc *restrictScratch, cur *CST, index, i, k int)
-	handle = func(sc *restrictScratch, cur *CST, index int) {
-		for {
-			if cfg.cancelled() {
-				return
-			}
-			if cfg.Fits(cur) || index >= len(o) {
-				process(cur)
-				count.Add(1)
-				return
-			}
-			if steal(cur) {
-				count.Add(1)
-				return
-			}
-			_, k := splitAt(cur, o, cfg, index)
-			if k <= 1 {
-				index++ // cannot split at o[index]; move on, like rec(cur, index+1)
-				continue
-			}
-			for i := 1; i < k; i++ {
-				i := i
-				pool.push(func(sc *restrictScratch) { handleChunk(sc, cur, index, i, k) })
-			}
-			handleChunk(sc, cur, index, 0, k)
-			return
-		}
-	}
-	handleChunk = func(sc *restrictScratch, cur *CST, index, i, k int) {
-		if cfg.cancelled() {
-			return
-		}
-		u := o[index]
-		part := restrict(cur, u, evenChunk(len(cur.Cand[u]), k, i), sc)
-		if part == nil {
-			return // cancelled mid-restrict: stop producing
-		}
-		if part.IsEmpty() {
-			return // restriction stranded a branch: no embeddings here
-		}
-		switch {
-		case cfg.Fits(part):
-			process(part)
-			count.Add(1)
-		case len(part.Cand[u]) == 1:
-			handle(sc, part, index+1)
-		default:
-			handle(sc, part, index)
-		}
-	}
-	pool.push(func(sc *restrictScratch) { handle(sc, c, 0) })
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			pool.run()
-		}()
-	}
-	wg.Wait()
-	pool.rethrow()
-	return int(count.Load())
-}
-
-// onode is one node of the ordered mode's split tree: either a valid piece
+// onode is one node of the concurrent producer's split tree: either a valid piece
 // to emit, an empty restriction to skip, or a still-violating CST whose
 // Steal offer and children are replayed at drain time. Workers fill a node
 // in and close ready; the caller's drain walks the tree in sequential order.
@@ -306,7 +167,7 @@ func (n *onode) abandoned() bool {
 	return false
 }
 
-// testOrderedHook, when non-nil, receives ordered-mode lifecycle events:
+// testOrderedHook, when non-nil, receives the producer's lifecycle events:
 // "chunk-start" before a speculative chunk task's skip checks,
 // "chunk-restrict" when the task proceeds to its restrict, and "stolen"
 // right after the drain marks a Steal-taken node. Tests install it (before
@@ -315,13 +176,26 @@ func (n *onode) abandoned() bool {
 // deterministic to observe. Always nil in production.
 var testOrderedHook func(event string)
 
-// partitionOrdered computes the split tree on the pool while the caller's
-// goroutine drains it in the byte-identical sequential order. Workers run
-// ahead of Steal decisions speculatively: once the drain lets Steal take a
-// node, the node is marked stolen and speculating workers skip every
-// descendant not yet computed (pieces already materialised are discarded) —
-// the waste is bounded by the restricts in flight at decision time instead
-// of the whole stolen subtree.
+// PartitionConcurrent is Partition with the producer itself parallelised:
+// Algorithm 2's recursion is unrolled into a bounded task pool of `workers`
+// goroutines in which every restrict-and-recurse step on a still-violating
+// piece is an independently schedulable task, so on a multi-core host the
+// partitioner no longer serialises in front of the kernel fan-out. The
+// schedule is Partition's, exactly: the pool computes the split tree while
+// the caller's goroutine drains it, so process calls and cfg.Steal offers
+// happen on the caller's goroutine, in the order and with the arguments
+// Partition would use (restrict is deterministic and the split tree does not
+// depend on execution order). host.Match relies on this: Algorithm 3's δ
+// routing sees partitions in the same order at every producer width, keeping
+// the δ split, partition counts and embedding totals deterministic. The
+// return value counts processed plus stolen pieces, exactly like Partition;
+// workers <= 1 degrades to Partition itself.
+//
+// Workers run ahead of Steal decisions speculatively: once the drain lets
+// Steal take a node, the node is marked stolen and speculating workers skip
+// every descendant not yet computed (pieces already materialised are
+// discarded) — the waste is bounded by the restricts in flight at decision
+// time instead of the whole stolen subtree.
 //
 // Speculation is not backpressured: when process is much slower than
 // restrict (kernel execution inline, or a blocking channel send), workers
@@ -330,7 +204,10 @@ var testOrderedHook func(event string)
 // recursion's live path. Fine at the scales this repo models; a bounded
 // speculation window that doesn't deadlock against the DFS drain cursor is
 // a ROADMAP item before partitioning data graphs that dwarf host RAM.
-func partitionOrdered(c *CST, o order.Order, cfg PartitionConfig, workers int, process func(*CST)) int {
+func PartitionConcurrent(c *CST, o order.Order, cfg PartitionConfig, workers int, process func(*CST)) int {
+	if workers <= 1 {
+		return Partition(c, o, cfg, process)
+	}
 	pool := newPartitionPool(cfg.Cancel)
 	// Tasks and the drain observe a worker panic the way they observe a
 	// cancellation (the pool folds its abort flag into the stop poll), so

@@ -4,13 +4,105 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"fastmatch/internal/order"
+	"fastmatch/ldbc"
 )
 
+// ldbcCST builds the CST and path order for one benchmark query over a
+// small LDBC-like graph, plus a partition config tight enough to force a
+// real multi-partition workload.
+func ldbcCST(t *testing.T, name string) (*CST, order.Order, PartitionConfig) {
+	t.Helper()
+	g := ldbc.Generate(ldbc.Config{ScaleFactor: 1, BasePersons: 120, Seed: 7})
+	q, err := ldbc.QueryByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := order.BuildBFSTree(q, order.SelectRoot(q, g))
+	c := Build(q, g, tr)
+	o := order.PathBased(tr, c)
+	cfg := PartitionConfig{MaxSizeBytes: c.SizeBytes()/6 + 64, MaxCandDegree: 16}
+	return c, o, cfg
+}
+
+// TestEnumerateParallelMatchesSequential: pieces handed off to other
+// goroutines while the producer keeps partitioning — what the host's offload
+// workers do — must merge to exactly the sequential totals, both the
+// unpartitioned Count and the partition-by-partition sum, on the LDBC
+// queries and for any pool size. Run under -race this also proves the pieces
+// are consumed without shared-state races.
+func TestEnumerateParallelMatchesSequential(t *testing.T) {
+	for _, name := range []string{"q1", "q2", "q3", "q4", "q5"} {
+		c, o, cfg := ldbcCST(t, name)
+		want := Count(c, o)
+		var seqSum int64
+		seqParts := Partition(c, o, cfg, func(p *CST) { seqSum += Enumerate(p, o, nil) })
+		if seqSum != want {
+			t.Fatalf("%s: partitioned sequential sum %d, want %d", name, seqSum, want)
+		}
+		for _, workers := range []int{1, 2, 4, 8} {
+			var total atomic.Int64
+			var wg sync.WaitGroup
+			PartitionConcurrent(c, o, cfg, workers, func(p *CST) {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					total.Add(Enumerate(p, o, nil))
+				}()
+			})
+			wg.Wait()
+			if got := total.Load(); got != want {
+				t.Errorf("%s workers=%d: pieces enumerated in parallel sum to %d, want %d", name, workers, got, want)
+			}
+		}
+		if seqParts < 2 {
+			t.Errorf("%s: only %d partitions — config not tight enough to exercise the pool", name, seqParts)
+		}
+	}
+}
+
+// TestPartitionParallelDeterministic: the concurrent producer delivers the
+// same pieces in the same order as Partition — compared here by per-piece
+// embedding count — at every pool size and on every run.
+func TestPartitionParallelDeterministic(t *testing.T) {
+	c, o, cfg := ldbcCST(t, "q2")
+	var seq []int64
+	seqN := Partition(c, o, cfg, func(p *CST) { seq = append(seq, Enumerate(p, o, nil)) })
+	for _, workers := range []int{2, 4, 4} {
+		var par []int64
+		parN := PartitionConcurrent(c, o, cfg, workers, func(p *CST) { par = append(par, Enumerate(p, o, nil)) })
+		if parN != seqN || len(par) != len(seq) {
+			t.Fatalf("workers=%d: %d pieces (%d processed), sequential %d (%d)", workers, parN, len(par), seqN, len(seq))
+		}
+		for i := range seq {
+			if par[i] != seq[i] {
+				t.Fatalf("workers=%d: piece %d has %d embeddings, sequential %d", workers, i, par[i], seq[i])
+			}
+		}
+	}
+}
+
+// TestPartitionParallelSinglePiece: more workers than pieces degrades
+// gracefully — the unsplit CST comes back as the one piece.
+func TestPartitionParallelSinglePiece(t *testing.T) {
+	c, o, _ := ldbcCST(t, "q1")
+	loose := PartitionConfig{MaxSizeBytes: 1 << 40, MaxCandDegree: 1 << 30}
+	want := Count(c, o)
+	var got int64
+	if n := PartitionConcurrent(c, o, loose, 8, func(p *CST) { got += Enumerate(p, o, nil) }); n != 1 {
+		t.Errorf("loose thresholds produced %d pieces, want 1", n)
+	}
+	if got != want {
+		t.Errorf("single-piece count %d, want %d", got, want)
+	}
+}
+
 // TestPartitionConcurrentMatchesSequentialLDBC is the PR's acceptance gate:
-// for every LDBC benchmark query, the concurrent producer — every pool size,
-// both modes — yields exactly the sequential Partition's embedding totals.
-// The CI -race job runs this, so it also proves the producer is race-clean
-// while pieces are enumerated from the worker goroutines.
+// for every LDBC benchmark query, the concurrent producer — every pool size —
+// yields exactly the sequential Partition's piece count and embedding
+// totals. The CI -race job runs this, so it also proves the producer is
+// race-clean while pieces are enumerated on the draining goroutine.
 func TestPartitionConcurrentMatchesSequentialLDBC(t *testing.T) {
 	for _, name := range []string{"q1", "q2", "q3", "q4", "q5"} {
 		c, o, cfg := ldbcCST(t, name)
@@ -21,50 +113,31 @@ func TestPartitionConcurrentMatchesSequentialLDBC(t *testing.T) {
 			t.Fatalf("%s: sequential union %d, want %d", name, seqSum, want)
 		}
 		for _, workers := range []int{1, 2, 4} {
-			var sum atomic.Int64
-			n := PartitionConcurrent(c, o, cfg, ConcurrentOptions{Workers: workers}, func(p *CST) {
-				sum.Add(Enumerate(p, o, nil))
-			})
-			if sum.Load() != want {
-				t.Errorf("%s workers=%d: unordered union %d, want %d", name, workers, sum.Load(), want)
+			var sum int64
+			n := PartitionConcurrent(c, o, cfg, workers, func(p *CST) { sum += Enumerate(p, o, nil) })
+			if sum != want {
+				t.Errorf("%s workers=%d: union %d, want %d", name, workers, sum, want)
 			}
-			if workers <= 1 && n != seqN {
+			if n != seqN {
 				t.Errorf("%s workers=%d: %d pieces, sequential %d", name, workers, n, seqN)
-			}
-
-			var ordSum int64
-			ordN := PartitionConcurrent(c, o, cfg, ConcurrentOptions{Workers: workers, Ordered: true},
-				func(p *CST) { ordSum += Enumerate(p, o, nil) })
-			if ordSum != want {
-				t.Errorf("%s workers=%d: ordered union %d, want %d", name, workers, ordSum, want)
-			}
-			if ordN != seqN {
-				t.Errorf("%s workers=%d: ordered %d pieces, sequential %d", name, workers, ordN, seqN)
 			}
 		}
 	}
 }
 
 // TestPartitionConcurrentPieceMultisetMatches: beyond totals, the multiset
-// of per-piece embedding counts from the unordered producer equals the
-// sequential one — the pieces themselves are identical, only delivery order
-// differs.
+// of per-piece embedding counts from the concurrent producer equals the
+// sequential one — the pieces themselves are identical.
 func TestPartitionConcurrentPieceMultisetMatches(t *testing.T) {
 	c, o, cfg := ldbcCST(t, "q2")
 	counts := func(run func(process func(*CST)) int) map[int64]int {
 		m := make(map[int64]int)
-		var mu sync.Mutex
-		run(func(p *CST) {
-			n := Enumerate(p, o, nil)
-			mu.Lock()
-			m[n]++
-			mu.Unlock()
-		})
+		run(func(p *CST) { m[Enumerate(p, o, nil)]++ })
 		return m
 	}
 	seq := counts(func(process func(*CST)) int { return Partition(c, o, cfg, process) })
 	par := counts(func(process func(*CST)) int {
-		return PartitionConcurrent(c, o, cfg, ConcurrentOptions{Workers: 4}, process)
+		return PartitionConcurrent(c, o, cfg, 4, process)
 	})
 	if len(seq) != len(par) {
 		t.Fatalf("distinct per-piece counts: %d vs %d", len(par), len(seq))
@@ -76,9 +149,9 @@ func TestPartitionConcurrentPieceMultisetMatches(t *testing.T) {
 	}
 }
 
-// TestPartitionConcurrentBoundsParallelism: the task pool never runs more
-// than Workers process callbacks at once (unordered mode runs them inline on
-// the workers), and ordered mode never runs more than one.
+// TestPartitionConcurrentBoundsParallelism: however many pool workers
+// restrict ahead, process callbacks are delivered one at a time — callers
+// (the host's scheduler state) need no locking of their own.
 func TestPartitionConcurrentBoundsParallelism(t *testing.T) {
 	c, o, cfg := ldbcCST(t, "q3")
 	const workers = 3
@@ -94,44 +167,9 @@ func TestPartitionConcurrentBoundsParallelism(t *testing.T) {
 		Enumerate(p, o, nil)
 		inFlight.Add(-1)
 	}
-	PartitionConcurrent(c, o, cfg, ConcurrentOptions{Workers: workers}, track)
-	if p := peak.Load(); p > workers {
-		t.Errorf("unordered: %d concurrent process calls, pool bound is %d", p, workers)
-	}
-	inFlight.Store(0)
-	peak.Store(0)
-	PartitionConcurrent(c, o, cfg, ConcurrentOptions{Workers: workers, Ordered: true}, track)
+	PartitionConcurrent(c, o, cfg, workers, track)
 	if p := peak.Load(); p > 1 {
-		t.Errorf("ordered: %d concurrent process calls, want sequential delivery", p)
-	}
-}
-
-// TestPartitionConcurrentStealSerialized: unordered-mode Steal offers never
-// overlap even with many producer workers, so the host's scheduler state
-// needs no locking of its own. The non-atomic counter below is the probe —
-// under -race any overlapping offer is reported.
-func TestPartitionConcurrentStealSerialized(t *testing.T) {
-	c, o, cfg := ldbcCST(t, "q4")
-	offers := 0 // deliberately unsynchronised: Steal must be serialized
-	var inSteal atomic.Int32
-	cfg.Steal = func(p *CST) bool {
-		if inSteal.Add(1) != 1 {
-			t.Error("overlapping Steal offers")
-		}
-		offers++
-		inSteal.Add(-1)
-		return offers%5 == 0
-	}
-	var processed atomic.Int64
-	n := PartitionConcurrent(c, o, cfg, ConcurrentOptions{Workers: 4}, func(p *CST) {
-		processed.Add(1)
-	})
-	if offers == 0 {
-		t.Fatal("config never offered a steal — thresholds not tight enough to exercise the hook")
-	}
-	stolen := int64(offers / 5) // every 5th offer accepted
-	if got := processed.Load() + stolen; int64(n) != got {
-		t.Errorf("count %d != processed %d + stolen %d", n, processed.Load(), stolen)
+		t.Errorf("%d concurrent process calls, want sequential delivery", p)
 	}
 }
 
@@ -168,8 +206,7 @@ func TestPartitionOrderedStealSkipsSpeculation(t *testing.T) {
 		return true
 	}
 	pieces := 0
-	n := PartitionConcurrent(c, o, cfg, ConcurrentOptions{Workers: 4, Ordered: true},
-		func(*CST) { pieces++ })
+	n := PartitionConcurrent(c, o, cfg, 4, func(*CST) { pieces++ })
 	if !stole {
 		t.Fatal("Steal was never offered")
 	}
@@ -201,7 +238,7 @@ func TestPartitionOrderedStealMidTreeParity(t *testing.T) {
 		return Partition(c, o, cfg, process)
 	})
 	gotPieces, gotCount := runWith(func(cfg PartitionConfig, process func(*CST)) int {
-		return PartitionConcurrent(c, o, cfg, ConcurrentOptions{Workers: 4, Ordered: true}, process)
+		return PartitionConcurrent(c, o, cfg, 4, process)
 	})
 	if gotCount != wantCount {
 		t.Fatalf("count %d, sequential %d", gotCount, wantCount)

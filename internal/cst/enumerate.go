@@ -12,7 +12,7 @@ import (
 // contiguous state with no per-call derivation and no allocation (the only
 // allocations are the embeddings handed to emit, which callers may retain).
 // An Enumerator is single-goroutine state; pool it across calls (the host's
-// δ-share drain and EnumerateParallel both do) to amortise the buffers.
+// δ-share drain does) to amortise the buffers.
 type Enumerator struct {
 	c *CST
 	n int

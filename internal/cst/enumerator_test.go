@@ -2,6 +2,7 @@ package cst
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -62,30 +63,33 @@ func TestEnumeratorRunCounted(t *testing.T) {
 }
 
 // TestEnumeratorPooledConcurrentPartition: pooled enumerators draining a
-// concurrent partition stream (the EnumerateParallel shape) must agree with
-// the sequential count. Run under -race this covers prepared-Enumerator
-// reuse while the partitioner is still producing pieces on other goroutines.
+// concurrent partition stream on their own goroutines (the host's δ-share
+// shape) must agree with the sequential count. Run under -race this covers
+// prepared-Enumerator reuse while the partitioner is still producing pieces
+// on other goroutines.
 func TestEnumeratorPooledConcurrentPartition(t *testing.T) {
 	c, o, cfg := ldbcCST(t, "q5")
 	want := Count(c, o)
 	var pool sync.Pool
 	for _, workers := range []int{2, 4} {
-		var mu sync.Mutex
-		var total int64
-		PartitionConcurrent(c, o, cfg, ConcurrentOptions{Workers: workers}, func(p *CST) {
-			e, _ := pool.Get().(*Enumerator)
-			if e == nil {
-				e = new(Enumerator)
-			}
-			defer pool.Put(e)
-			e.Reset(p, o)
-			n := e.Run(nil)
-			mu.Lock()
-			total += n
-			mu.Unlock()
+		var total atomic.Int64
+		var wg sync.WaitGroup
+		PartitionConcurrent(c, o, cfg, workers, func(p *CST) {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				e, _ := pool.Get().(*Enumerator)
+				if e == nil {
+					e = new(Enumerator)
+				}
+				defer pool.Put(e)
+				e.Reset(p, o)
+				total.Add(e.Run(nil))
+			}()
 		})
-		if total != want {
-			t.Fatalf("workers=%d: pooled total %d, want %d", workers, total, want)
+		wg.Wait()
+		if got := total.Load(); got != want {
+			t.Fatalf("workers=%d: pooled total %d, want %d", workers, got, want)
 		}
 	}
 }

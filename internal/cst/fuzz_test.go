@@ -1,7 +1,6 @@
 package cst
 
 import (
-	"sync/atomic"
 	"testing"
 
 	"fastmatch/graph"
@@ -14,7 +13,7 @@ import (
 // PartitionConfig (zero, negative, or absurdly tiny budgets, and fixed-k
 // overrides): whatever the thresholds, partitioning must terminate and the
 // per-piece counts must union to exactly the unpartitioned count, for the
-// sequential producer and both concurrent modes.
+// sequential producer and the concurrent one.
 //
 // corpus selects the subject: 0 is the paper's Fig. 1 running example, 1 is
 // LDBC q1 over a small generated social network (the two seeds below), and
@@ -80,23 +79,15 @@ func FuzzPartitionCounts(f *testing.F) {
 			t.Fatalf("Partition: piece counts union to %d, want %d (cfg=%+v)", seqSum, want, cfg)
 		}
 
-		var unordSum atomic.Int64
-		PartitionConcurrent(c, o, cfg, ConcurrentOptions{Workers: w}, func(p *CST) {
-			unordSum.Add(Enumerate(p, o, nil))
-		})
-		if unordSum.Load() != want {
-			t.Fatalf("PartitionConcurrent(workers=%d): union %d, want %d (cfg=%+v)", w, unordSum.Load(), want, cfg)
-		}
-
 		var ordSum int64
-		ordN := PartitionConcurrent(c, o, cfg, ConcurrentOptions{Workers: w, Ordered: true}, func(p *CST) {
+		ordN := PartitionConcurrent(c, o, cfg, w, func(p *CST) {
 			ordSum += Enumerate(p, o, nil)
 		})
 		if ordSum != want {
-			t.Fatalf("PartitionConcurrent(ordered, workers=%d): union %d, want %d (cfg=%+v)", w, ordSum, want, cfg)
+			t.Fatalf("PartitionConcurrent(workers=%d): union %d, want %d (cfg=%+v)", w, ordSum, want, cfg)
 		}
 		if ordN != seqN {
-			t.Fatalf("ordered produced %d pieces, sequential %d (cfg=%+v)", ordN, seqN, cfg)
+			t.Fatalf("PartitionConcurrent(workers=%d) produced %d pieces, sequential %d (cfg=%+v)", w, ordN, seqN, cfg)
 		}
 	})
 }

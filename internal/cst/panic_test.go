@@ -25,41 +25,14 @@ func runWithPanicGuard(t *testing.T, timeout time.Duration, fn func()) any {
 	}
 }
 
-// TestWorkerPanicRethrownUnordered: a panic in a process callback delivered
-// on an unordered pool worker (the path EnumerateParallel's per-piece
-// enumeration runs on) must not kill the worker goroutine — before the
-// worker recover barrier it crashed the whole process. The pool records the
-// panic, drains the remaining tasks like a cancellation, and re-throws it
-// on the caller's goroutine as a *WorkerPanic carrying the original value.
-func TestWorkerPanicRethrownUnordered(t *testing.T) {
-	c, o, cfg := ldbcCST(t, "q2")
-	var fired atomic.Bool
-	r := runWithPanicGuard(t, 30*time.Second, func() {
-		PartitionConcurrent(c, o, cfg, ConcurrentOptions{Workers: 4}, func(p *CST) {
-			if fired.CompareAndSwap(false, true) {
-				panic("boom in process")
-			}
-		})
-	})
-	wp, ok := r.(*WorkerPanic)
-	if !ok {
-		t.Fatalf("recovered %v (%T), want *WorkerPanic", r, r)
-	}
-	if wp.Value != "boom in process" {
-		t.Fatalf("WorkerPanic value = %v, want the original panic value", wp.Value)
-	}
-	if len(wp.Stack) == 0 {
-		t.Fatal("WorkerPanic carries no worker stack")
-	}
-}
-
 // TestWorkerPanicOrderedDrainNoDeadlock: a panic inside a speculative
 // restrict task must not strand the ordered drain. Before the recover
 // barrier the dying worker skipped both its pool bookkeeping and the
 // close of its split-tree ready channel, so the caller's drain — and every
 // sibling worker waiting on the pool condition — blocked forever. Now the
 // node's ready close is deferred, the pool aborts like a cancellation, and
-// the panic is re-thrown on the caller once the workers have quiesced.
+// the panic is re-thrown on the caller once the workers have quiesced, as a
+// *WorkerPanic carrying the original value and the worker's stack.
 func TestWorkerPanicOrderedDrainNoDeadlock(t *testing.T) {
 	c, o, cfg := ldbcCST(t, "q3")
 	var fired atomic.Bool
@@ -70,7 +43,7 @@ func TestWorkerPanicOrderedDrainNoDeadlock(t *testing.T) {
 	}
 	defer func() { testOrderedHook = nil }()
 	r := runWithPanicGuard(t, 30*time.Second, func() {
-		PartitionConcurrent(c, o, cfg, ConcurrentOptions{Workers: 4, Ordered: true}, func(p *CST) {})
+		PartitionConcurrent(c, o, cfg, 4, func(p *CST) {})
 	})
 	wp, ok := r.(*WorkerPanic)
 	if !ok {
@@ -78,6 +51,9 @@ func TestWorkerPanicOrderedDrainNoDeadlock(t *testing.T) {
 	}
 	if wp.Value != "boom in restrict task" {
 		t.Fatalf("WorkerPanic value = %v, want the original panic value", wp.Value)
+	}
+	if len(wp.Stack) == 0 {
+		t.Fatal("WorkerPanic carries no worker stack")
 	}
 }
 
@@ -88,7 +64,7 @@ func TestDrainPanicQuiescesWorkers(t *testing.T) {
 	c, o, cfg := ldbcCST(t, "q1")
 	r := runWithPanicGuard(t, 30*time.Second, func() {
 		first := true
-		PartitionConcurrent(c, o, cfg, ConcurrentOptions{Workers: 4, Ordered: true}, func(p *CST) {
+		PartitionConcurrent(c, o, cfg, 4, func(p *CST) {
 			if first {
 				first = false
 				panic("boom in drain process")

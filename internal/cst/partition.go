@@ -2,7 +2,6 @@ package cst
 
 import (
 	"fastmatch/graph"
-	"fastmatch/internal/mathutil"
 	"fastmatch/internal/order"
 )
 
@@ -25,9 +24,9 @@ type PartitionConfig struct {
 	// Cancel, when non-nil, is polled between restrict-and-recurse steps.
 	// Once it returns true the partitioners stop producing: no further
 	// process calls or Steal offers are made, in-flight concurrent workers
-	// drain their queued tasks cheaply and exit, and ordered mode abandons
-	// its speculation. The piece count returned by a cancelled run reflects
-	// only the pieces delivered before cancellation was observed.
+	// drain their queued tasks cheaply and exit, and the concurrent producer
+	// abandons its speculation. The piece count returned by a cancelled run
+	// reflects only the pieces delivered before cancellation was observed.
 	Cancel func() bool
 }
 
@@ -60,12 +59,11 @@ func (cfg PartitionConfig) Fits(c *CST) bool {
 // with FPGA execution. The partitions' search spaces are disjoint and their
 // union is exactly c's search space (tested property).
 //
-// rec's control flow is mirrored by the two concurrent producers in
-// concurrent.go (handle/handleChunk and computeNode/computeChunk), and the
-// ordered mode's byte-identical-schedule guarantee depends on the mirrors
-// staying in lockstep: any change to the split rules here must be made in
-// both, and partition_prop_test.go + FuzzPartitionCounts are the gate that
-// catches a divergence.
+// rec's control flow is mirrored by the concurrent producer in concurrent.go
+// (computeNode/computeChunk), whose byte-identical-schedule guarantee depends
+// on the mirror staying in lockstep: any change to the split rules here must
+// be made there too, and partition_prop_test.go + FuzzPartitionCounts are
+// the gate that catches a divergence.
 func Partition(c *CST, o order.Order, cfg PartitionConfig, process func(*CST)) int {
 	count := 0
 	// One scratch serves the whole recursion; it carries the cancel hook
@@ -135,17 +133,20 @@ func (cfg PartitionConfig) partitionFactor(c *CST) int {
 	}
 	k := 1
 	if cfg.MaxSizeBytes > 0 {
-		if r := mathutil.CeilDiv(c.SizeBytes(), cfg.MaxSizeBytes); int(r) > k {
+		if r := ceilDiv(c.SizeBytes(), cfg.MaxSizeBytes); int(r) > k {
 			k = int(r)
 		}
 	}
 	if cfg.MaxCandDegree > 0 {
-		if r := mathutil.CeilDiv(c.MaxCandDegree(), cfg.MaxCandDegree); r > k {
+		if r := ceilDiv(c.MaxCandDegree(), cfg.MaxCandDegree); r > k {
 			k = r
 		}
 	}
 	return k
 }
+
+// ceilDiv returns ⌈a/b⌉ for b > 0.
+func ceilDiv[T int | int64](a, b T) T { return (a + b - 1) / b }
 
 // evenChunk returns the half-open index range [lo,hi) of the i-th of k even
 // chunks of n items.
@@ -161,7 +162,7 @@ func evenChunk(n, k, i int) [2]int {
 
 // restrictScratch holds restrict's per-call working state so that repeated
 // restrict steps — the sequential recursion, and every worker of the
-// concurrent producers — reuse buffers instead of allocating them per piece.
+// concurrent producer — reuse buffers instead of allocating them per piece.
 // Only bookkeeping lives here; everything that escapes into the produced
 // CST is freshly allocated. A scratch is single-goroutine state: the
 // sequential partitioner owns one, and each concurrent pool worker owns one.

@@ -3,7 +3,6 @@ package cst
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"fastmatch/graph"
@@ -12,8 +11,8 @@ import (
 
 // This file is the property harness for the partition/enumerate contract the
 // whole pipeline rests on (the comment in partition.go, Theorem 1): for any
-// (graph, query, thresholds) and for every producer — sequential Partition,
-// PartitionConcurrent unordered, PartitionConcurrent ordered —
+// (graph, query, thresholds) and for both producers — sequential Partition
+// and PartitionConcurrent —
 //
 //	(a) every piece satisfies cfg.Fits or is atomic (all candidate sets
 //	    singleton, so no split can shrink it further),
@@ -163,23 +162,13 @@ func TestPartitionEnumerateProperties(t *testing.T) {
 		seqN := Partition(pc.c, pc.o, pc.cfg, func(p *CST) { seq = append(seq, p) })
 		checkPieces(t, pc, "Partition", seq, seqN, want)
 
-		for _, workers := range []int{2, 4} {
-			var mu sync.Mutex
+		for _, workers := range []int{2, 3, 4} {
 			var got []*CST
-			n := PartitionConcurrent(pc.c, pc.o, pc.cfg, ConcurrentOptions{Workers: workers}, func(p *CST) {
-				mu.Lock()
-				got = append(got, p)
-				mu.Unlock()
-			})
+			n := PartitionConcurrent(pc.c, pc.o, pc.cfg, workers, func(p *CST) { got = append(got, p) })
 			checkPieces(t, pc, fmt.Sprintf("PartitionConcurrent(workers=%d)", workers), got, n, want)
-		}
-
-		var ordered []*CST
-		ordN := PartitionConcurrent(pc.c, pc.o, pc.cfg, ConcurrentOptions{Workers: 3, Ordered: true},
-			func(p *CST) { ordered = append(ordered, p) })
-		checkPieces(t, pc, "PartitionConcurrent(ordered)", ordered, ordN, want)
-		if ordN != seqN {
-			t.Errorf("seed %d: ordered produced %d pieces, sequential %d", seed, ordN, seqN)
+			if n != seqN {
+				t.Errorf("seed %d workers=%d: %d pieces, sequential %d", seed, workers, n, seqN)
+			}
 		}
 	}
 }
@@ -215,7 +204,7 @@ func TestPartitionOrderedByteIdenticalSchedule(t *testing.T) {
 		}, pc.cfg)
 		for _, workers := range []int{2, 3, 5} {
 			ordEvents, ordN := trace(func(cfg PartitionConfig, process func(*CST)) int {
-				return PartitionConcurrent(pc.c, pc.o, cfg, ConcurrentOptions{Workers: workers, Ordered: true}, process)
+				return PartitionConcurrent(pc.c, pc.o, cfg, workers, process)
 			}, pc.cfg)
 			if ordN != seqN {
 				t.Fatalf("seed %d workers=%d: count %d, sequential %d", seed, workers, ordN, seqN)
@@ -233,33 +222,27 @@ func TestPartitionOrderedByteIdenticalSchedule(t *testing.T) {
 	}
 }
 
-// TestPartitionConcurrentStolenUnionStaysExact: with an unordered concurrent
-// producer and a Steal hook racing the emission stream, the stolen pieces
-// and the processed pieces together still partition the search space — the
-// invariant host.Match's δ-share rests on.
+// TestPartitionConcurrentStolenUnionStaysExact: with the concurrent producer
+// speculating ahead of a Steal hook that takes every other offer, the stolen
+// pieces and the processed pieces together still partition the search space
+// — the invariant host.Match's δ-share rests on.
 func TestPartitionConcurrentStolenUnionStaysExact(t *testing.T) {
 	for seed := int64(300); seed < 330; seed++ {
 		pc := randomPropCase(seed)
 		want := Count(pc.c, pc.o)
-		var mu sync.Mutex
 		var all []*CST // processed + stolen: must union exactly
 		offers := 0
+		// Offers and deliveries both arrive on this goroutine, so plain state
+		// is safe (and -race checks that claim).
 		pc.cfg.Steal = func(p *CST) bool {
-			// Serialized by PartitionConcurrent, so plain state is safe.
 			offers++
 			if offers%2 == 1 {
 				return false
 			}
-			mu.Lock()
 			all = append(all, p)
-			mu.Unlock()
 			return true
 		}
-		n := PartitionConcurrent(pc.c, pc.o, pc.cfg, ConcurrentOptions{Workers: 4}, func(p *CST) {
-			mu.Lock()
-			all = append(all, p)
-			mu.Unlock()
-		})
+		n := PartitionConcurrent(pc.c, pc.o, pc.cfg, 4, func(p *CST) { all = append(all, p) })
 		if n != len(all) {
 			t.Fatalf("seed %d: count %d but %d pieces seen", seed, n, len(all))
 		}

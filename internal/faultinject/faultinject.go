@@ -55,9 +55,9 @@ func (k Kind) String() string {
 
 // Well-known sites. Device staging sites are per card (SiteDeviceStage);
 // the kernel and CPU-enumeration sites are shared by all workers, so their
-// call counters advance in submission order under a sequential pipeline and
-// in an interleaved (but still seed-deterministic per count) order under a
-// parallel one.
+// call counters advance in submission order when the host pipeline runs its
+// consumers inline (Workers <= 1) and in an interleaved (but still
+// seed-deterministic per count) order when it fans them out.
 const (
 	// SiteKernel is evaluated once per kernel launch, before the kernel
 	// does any work — an injected failure there never double-emits on

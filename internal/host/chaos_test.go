@@ -16,14 +16,14 @@ func chaosPartition() cst.PartitionConfig {
 	return cst.PartitionConfig{MaxSizeBytes: 1 << 13, MaxCandDegree: 64}
 }
 
-// chaosConfigs are the pipeline shapes every oracle below is checked
-// against: the streaming-sequential path and the fanned-out path.
+// chaosConfigs are the pipeline widths every oracle below is checked
+// against: the inline pool and the fanned-out consumers.
 var chaosConfigs = []struct {
 	name              string
 	workers, pworkers int
 }{
-	{"sequential", 0, 0},
-	{"parallel", 4, 2},
+	{"inline", 0, 0},
+	{"fanned out", 4, 2},
 }
 
 // TestChaosTransientParity: transient faults at the device staging and
@@ -163,8 +163,8 @@ func TestChaosAllDevicesDeadFallsBackToCPU(t *testing.T) {
 
 // TestChaosKernelPanicIsolated: a panic injected at the kernel-launch site
 // is recovered inside the barrier — the run returns a partial Report with a
-// *KernelPanicError instead of crashing or deadlocking, in both pipeline
-// shapes.
+// *KernelPanicError instead of crashing or deadlocking, at both pipeline
+// widths.
 func TestChaosKernelPanicIsolated(t *testing.T) {
 	g := smallSocial(t)
 	for _, shape := range chaosConfigs {
@@ -228,7 +228,8 @@ func TestChaosEnumeratePanicIsolated(t *testing.T) {
 
 // TestChaosExhaustedRetriesPartial: a staging site that fails every attempt
 // exhausts the retry budget; the run returns its partial Report with a
-// *DeviceFaultError that unwraps to the injected cause.
+// *DeviceFaultError that names the card's staging site — the same one at
+// every width — and unwraps to the injected cause.
 func TestChaosExhaustedRetriesPartial(t *testing.T) {
 	g := smallSocial(t)
 	for _, shape := range chaosConfigs {
@@ -254,6 +255,9 @@ func TestChaosExhaustedRetriesPartial(t *testing.T) {
 		}
 		if df.Attempts != 3 { // initial try + Max retries
 			t.Errorf("%s: attempts = %d, want 3", shape.name, df.Attempts)
+		}
+		if want := faultinject.SiteDeviceStage(0); df.Site != want {
+			t.Errorf("%s: fault site %q, want %q", shape.name, df.Site, want)
 		}
 		if !errors.Is(err, faultinject.ErrInjected) {
 			t.Errorf("%s: error does not unwrap to the injected cause: %v", shape.name, err)

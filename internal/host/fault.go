@@ -92,8 +92,9 @@ func (e *KernelPanicError) Error() string {
 // error — the degraded-run contract (identical counts) only covers faults
 // that retry or redistribution could absorb.
 type DeviceFaultError struct {
-	// Site is the faulting site (faultinject.SiteKernel, a device's staging
-	// site, faultinject.SiteEnumerate, or the parallel pipeline's "stage").
+	// Site is the faulting site: faultinject.SiteKernel,
+	// faultinject.SiteEnumerate, or for staging the faultinject.SiteDeviceStage
+	// of the last card tried.
 	Site string
 	// Attempts counts tries made, the first plus every retry.
 	Attempts int
@@ -107,10 +108,11 @@ func (e *DeviceFaultError) Error() string {
 
 func (e *DeviceFaultError) Unwrap() error { return e.Err }
 
-// errRetryCancelled reports that the run was cancelled while backing off
-// between retry attempts; like errStageCancelled it is a skip signal — the
-// control's own state carries the cancellation — not a failure.
-var errRetryCancelled = errors.New("host: retry abandoned: run cancelled")
+// errRunHalted reports that a work item was abandoned because the run
+// stopped while it was waiting — for card DRAM, or backing off between retry
+// attempts. It is a skip signal, not a failure: the control's own state (or
+// the pipeline's first error) carries the reason.
+var errRunHalted = errors.New("host: work abandoned: run halted")
 
 // errAllDevicesDead reports that no healthy card remains to stage on; the
 // caller degrades the partition to the CPU enumeration path.
@@ -177,73 +179,119 @@ func (ct *runControl) sleep(d time.Duration) bool {
 	}
 }
 
-// pickDevice returns the index of the healthy card with the least
-// accumulated work, or -1 when every card is dead.
-func pickDevice(devices []*fpgasim.Device, transfer []time.Duration) int {
-	best := -1
-	for i := range devices {
-		if !devices[i].Healthy() {
-			continue
-		}
-		if best < 0 || devices[i].Busy()+transfer[i] < devices[best].Busy()+transfer[best] {
-			best = i
-		}
-	}
-	return best
-}
-
-// stageWithRetry stages bytes on dev, retrying injected transient faults
-// under the run's policy with exponential backoff. Device death and
-// non-fault failures (DRAM overflow keeps its original hard-failure
-// semantics) return immediately; an exhausted retry budget returns a
-// *DeviceFaultError; a cancellation during backoff returns
-// errRetryCancelled. Only the sequential pipeline calls this — the parallel
-// pipeline cannot sleep under its device mutex, so it retries at the worker
-// level (stageParallel) instead.
-func stageWithRetry(ct *runControl, dev *fpgasim.Device, bytes int64) (time.Duration, error) {
+// stage wraps the card scan with the worker-level retry loop: the scan runs
+// under the device mutex and cannot sleep there, so a transient fault
+// surfaces here, where the worker backs off outside the lock and rescans (a
+// rescan may land on a different card — that is redistribution working, not
+// a bug). Device death is handled inside the scan; non-fault failures (DRAM
+// overflow keeps its hard-failure semantics) return immediately; an
+// exhausted retry budget returns a *DeviceFaultError naming the last card
+// tried.
+func (p *pipeline) stage(piece *cst.CST) (*fpgasim.Device, error) {
 	for attempt := 0; ; attempt++ {
-		if ct.cancelled() {
-			return 0, errRetryCancelled
+		if p.halted() {
+			return nil, errRunHalted
 		}
-		dur, err := dev.StageDRAM(bytes)
-		if err == nil {
-			return dur, nil
-		}
-		if errors.Is(err, fpgasim.ErrDeviceFailed) || !isTransientFault(err) {
-			return 0, err
-		}
-		if attempt >= ct.retry.Max {
-			return 0, &DeviceFaultError{Site: faultinject.SiteDeviceStage(dev.ID), Attempts: attempt + 1, Err: err}
-		}
-		ct.fstats.retries.Add(1)
-		if !ct.sleep(ct.retry.backoff(attempt)) {
-			return 0, errRetryCancelled
-		}
-	}
-}
-
-// stageParallel wraps the parallel pipeline's stage scan with the
-// worker-level retry loop: the scan runs under the device mutex and cannot
-// sleep there, so a transient fault surfaces to the worker, which backs off
-// outside the lock and rescans (a rescan may land on a different card —
-// that is redistribution working, not a bug).
-func stageParallel(ct *runControl, stage func(*cst.CST) (*fpgasim.Device, error), p *cst.CST) (*fpgasim.Device, error) {
-	for attempt := 0; ; attempt++ {
-		if ct.cancelled() {
-			return nil, errStageCancelled
-		}
-		dev, err := stage(p)
+		dev, err := p.scanCards(piece)
 		if err == nil || !isTransientFault(err) {
 			return dev, err
 		}
-		if attempt >= ct.retry.Max {
-			return nil, &DeviceFaultError{Site: "stage", Attempts: attempt + 1, Err: err}
+		if attempt >= p.ct.retry.Max {
+			return nil, &DeviceFaultError{Site: faultinject.SiteDeviceStage(dev.ID), Attempts: attempt + 1, Err: err}
 		}
-		ct.fstats.retries.Add(1)
-		if !ct.sleep(ct.retry.backoff(attempt)) {
-			return nil, errStageCancelled
+		p.ct.fstats.retries.Add(1)
+		if !p.ct.sleep(p.ct.retry.backoff(attempt)) {
+			return nil, errRunHalted
 		}
 	}
+}
+
+// scanCards stages piece on the healthy card with the least accumulated
+// work, falling through to the next one when a card dies or has no room, and
+// waiting for a release when none has room but pieces are in flight. On a
+// staging error it also returns the card that raised it, so an exhausted
+// retry budget can name the site. It fails only when the piece would not fit
+// an idle card (or the card faulted with nothing in flight) — which on one
+// goroutine, where nothing is ever in flight, is every error, at once.
+func (p *pipeline) scanCards(piece *cst.CST) (*fpgasim.Device, error) {
+	p.devMu.Lock()
+	defer p.devMu.Unlock()
+	for {
+		// Re-checked on every wake-up: a halted run stops staging new pieces
+		// (in-flight kernels abort between rounds and release their DRAM, so
+		// waiters always wake).
+		if p.halted() {
+			return nil, errRunHalted
+		}
+		// Try healthy cards in ascending accumulated-load order via a
+		// selection scan — alloc-free under the contended lock, and NumFPGAs
+		// is tiny (the bitmask caps it at 64 cards, far beyond any modelled
+		// deployment).
+		var tried uint64
+		var last *fpgasim.Device
+		var lastErr error
+		for t := 0; t < len(p.devices) && t < 64; t++ {
+			best := -1
+			for i, d := range p.devices {
+				if i >= 64 || tried&(1<<uint(i)) != 0 || !d.Healthy() {
+					continue
+				}
+				if best < 0 || d.Busy()+p.transfer[i] < p.devices[best].Busy()+p.transfer[best] {
+					best = i
+				}
+			}
+			if best < 0 {
+				break // every healthy card tried
+			}
+			tried |= 1 << uint(best)
+			dur, err := p.devices[best].StageDRAM(piece.SizeBytes())
+			if err == nil {
+				p.transfer[best] += dur
+				p.inflight++
+				return p.devices[best], nil
+			}
+			if errors.Is(err, fpgasim.ErrDeviceFailed) {
+				// The death moment — the card was healthy when picked; scan
+				// on across the survivors.
+				p.ct.fstats.deviceDeaths.Add(1)
+				continue
+			}
+			// Transient faults and DRAM overflows both land here: with
+			// nothing in flight the error goes to the caller (which backs off
+			// and retries a transient outside this lock); otherwise wait for
+			// a release and rescan.
+			last, lastErr = p.devices[best], err
+		}
+		if lastErr == nil {
+			// No healthy card, or every card scanned died under us. Dead
+			// cards never come back mid-run, so the caller degrades the piece
+			// to the CPU enumeration path instead of waiting on releases that
+			// cannot help.
+			return nil, errAllDevicesDead
+		}
+		if p.inflight == 0 {
+			return last, lastErr
+		}
+		p.devCond.Wait()
+	}
+}
+
+// release retires a staged piece: the kernel's cycles are charged to the
+// card (as an abort when the run threw the work away), its DRAM is freed, and
+// a worker waiting for room is woken.
+func (p *pipeline) release(dev *fpgasim.Device, piece *cst.CST, cycles int64, aborted bool) {
+	p.devMu.Lock()
+	if cycles > 0 {
+		if aborted {
+			dev.AbortKernel(cycles)
+		} else {
+			dev.RunKernel(cycles)
+		}
+	}
+	dev.ReleaseDRAM(piece.SizeBytes())
+	p.inflight--
+	p.devCond.Broadcast()
+	p.devMu.Unlock()
 }
 
 // runKernelWithRetry executes one kernel under the run's retry policy:
@@ -254,7 +302,7 @@ func stageParallel(ct *runControl, stage func(*cst.CST) (*fpgasim.Device, error)
 func runKernelWithRetry(ct *runControl, p *cst.CST, o order.Order, kopts core.Options) (core.Result, error) {
 	for attempt := 0; ; attempt++ {
 		if ct.cancelled() {
-			return core.Result{}, errRetryCancelled
+			return core.Result{}, errRunHalted
 		}
 		res, err := runKernel(p, o, kopts, ct.faults)
 		if err == nil || !isTransientFault(err) {
@@ -265,7 +313,7 @@ func runKernelWithRetry(ct *runControl, p *cst.CST, o order.Order, kopts core.Op
 		}
 		ct.fstats.retries.Add(1)
 		if !ct.sleep(ct.retry.backoff(attempt)) {
-			return core.Result{}, errRetryCancelled
+			return core.Result{}, errRunHalted
 		}
 	}
 }

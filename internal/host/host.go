@@ -4,13 +4,20 @@
 // the CPU and one or more simulated FPGA cards under the δ threshold
 // (Algorithm 3), offloads partitions over PCIe, runs the FAST kernel on
 // each, enumerates the CPU share with the backtracking matcher, and merges
-// results into an end-to-end report. With Config.Workers > 1 the FPGA-side
-// partition queue fans out across a bounded goroutine pool while the CPU
-// δ-share drains concurrently — the software analogue of the paper's
-// multi-PE parallelism and CPU–FPGA co-processing (Fig. 13). With
-// Config.PartitionWorkers > 1 the partition producer itself (Algorithm 2's
-// recursion) also runs on a bounded task pool, in ordered mode, so neither
-// side of the overlap serialises the other.
+// results into an end-to-end report.
+//
+// That flow is one pipeline (the pipeline type): a producer that partitions
+// and routes, an offload consumer for FPGA-bound partitions, a δ-share
+// consumer for CPU-bound ones, and a statistics merge. Config.Workers only
+// chooses where the consumers run. At 1 they run on the caller's goroutine:
+// each FPGA-bound partition inline as the producer emits it, the δ-share
+// when the producer returns. Above 1 the offload consumer runs on that many
+// goroutines and the δ-share consumer on one more, all overlapping the
+// producer — the software analogue of the paper's multi-PE parallelism and
+// CPU–FPGA co-processing (Fig. 13). Config.PartitionWorkers > 1 runs the
+// producer's restrict steps (Algorithm 2's recursion) on a bounded task pool
+// as well, so neither side of the overlap serialises the other. Counts, the
+// δ split and the kernel statistics are the same at every width.
 //
 // Execution is context-first: Match and Prepare take a context.Context, and
 // every layer that loops observes it — the partition producer between
@@ -85,27 +92,30 @@ type Config struct {
 	Partition cst.PartitionConfig
 	// Collect materialises embeddings in the report.
 	Collect bool
-	// Workers > 1 fans the FPGA-bound partition queue out across that many
-	// goroutines while the CPU δ-share is enumerated concurrently; 0 or 1
-	// keeps the original streaming-sequential pipeline. Embedding counts,
-	// partition counts, the δ split and the aggregated kernel statistics
-	// are identical either way. The modelled single-card FPGATime and
-	// TransferTime are also workers-invariant; PartitionTime and
-	// CPUShareTime are measured wall times and vary only with machine
-	// noise. With NumFPGAs > 1 the partition→card assignment depends on
-	// completion timing, so per-card modelled times may differ run to run.
+	// Workers is the width of the consumer side of the pipeline. At 0 or 1
+	// the consumers run on the caller's goroutine — no channel, no goroutine:
+	// FPGA-bound partitions are offloaded inline in producer order and the
+	// CPU δ-share is enumerated when the producer returns, so the emission
+	// order is deterministic. Above 1 that many goroutines offload
+	// FPGA-bound partitions while one more enumerates the δ-share, all
+	// concurrently with the producer. Embedding counts, partition counts,
+	// the δ split and the aggregated kernel statistics are identical at
+	// every width. The modelled single-card FPGATime and TransferTime are
+	// also width-invariant; PartitionTime and CPUShareTime are measured wall
+	// times and vary only with machine noise. With NumFPGAs > 1 and
+	// Workers > 1 the partition→card assignment depends on completion
+	// timing, so per-card modelled times may differ run to run.
 	Workers int
-	// PartitionWorkers > 1 parallelises the partition producer itself:
-	// Algorithm 2's restrict-and-recurse steps run on a bounded task pool
-	// of that many goroutines (cst.PartitionConcurrent in ordered mode)
-	// instead of a single recursion, so on multi-core hosts partition
-	// production no longer serialises in front of the Workers fan-out.
-	// Pieces, Steal offers and the δ-routing decisions are still delivered
-	// on the producer goroutine in the exact sequential order, so embedding
-	// counts, partition counts and the δ split are byte-identical to
-	// PartitionWorkers <= 1. PartitionTime then measures the drain's
-	// critical path (waits on in-flight restrict tasks included), which is
-	// the quantity that shrinks as the producer scales.
+	// PartitionWorkers is the width of the producer: above 1, Algorithm 2's
+	// restrict-and-recurse steps run on a bounded task pool of that many
+	// goroutines (cst.PartitionConcurrent) instead of a single recursion, so
+	// on multi-core hosts partition production does not serialise in front
+	// of the consumers. Pieces, Steal offers and the δ-routing decisions are
+	// still delivered on the caller's goroutine in the same order, so
+	// embedding counts, partition counts and the δ split are byte-identical
+	// at every width. PartitionTime then measures the drain's critical path
+	// (waits on in-flight restrict tasks included), which is the quantity
+	// that shrinks as the producer scales.
 	PartitionWorkers int
 	// Pool, when non-nil, is a shared token bucket: each worker holds one
 	// token per FPGA-bound partition it processes, bounding the total
@@ -148,6 +158,9 @@ func (c Config) withDefaults(q *graph.Query) Config {
 	if c.NumFPGAs < 1 {
 		c.NumFPGAs = 1
 	}
+	if c.Workers < 1 {
+		c.Workers = 1
+	}
 	if c.Strategy == "" {
 		c.Strategy = OrderPath
 	}
@@ -162,19 +175,6 @@ func (c Config) withDefaults(q *graph.Query) Config {
 		c.Partition.MaxCandDegree = c.Device.PortMax
 	}
 	return c
-}
-
-// runPartition dispatches Algorithm 2 under the configured producer mode:
-// the sequential recursion, or the ordered concurrent producer when
-// PartitionWorkers asks for it. Ordered mode keeps every delivery on the
-// calling goroutine in sequential order, so both pipelines' δ routing stays
-// deterministic no matter how many producer workers run.
-func (c Config) runPartition(root *cst.CST, o order.Order, process func(*cst.CST)) int {
-	if c.PartitionWorkers > 1 {
-		return cst.PartitionConcurrent(root, o, c.Partition,
-			cst.ConcurrentOptions{Workers: c.PartitionWorkers, Ordered: true}, process)
-	}
-	return cst.Partition(root, o, c.Partition, process)
 }
 
 // kernelScratch pools core.Scratch values across kernel runs — and across
@@ -292,10 +292,11 @@ type Report struct {
 
 	// Phase timings. BuildTime and PartitionTime are measured host wall
 	// time; TransferTime is the modelled PCIe cost; FPGATime is the
-	// slowest card's kernel busy time; CPUShareTime is measured wall time
-	// of the host's share. Total composes them the way the pipeline runs:
-	// build, then partition, then max(card completion, CPU share) since
-	// the CPU processes its cached share while cards drain theirs. With
+	// slowest card's kernel busy time; CPUShareTime is the measured time
+	// spent enumerating the host's share (partitions a total device loss
+	// redistributed to the CPU included). Total composes them the way the
+	// pipeline runs: build, then partition, then max(card completion, CPU
+	// share) since the CPU processes its share while cards drain theirs. With
 	// Workers > 1 partitioning additionally overlaps kernel execution
 	// (PartitionTime still counts only the partitioner's own work, not
 	// waits on busy workers), so real host wall-clock runs ahead of the
@@ -340,15 +341,6 @@ type Report struct {
 	Retries        int64
 	DeviceFailures int
 	Redistributed  int
-}
-
-// SpeedupOver returns how many times faster this run was than a reference
-// duration.
-func (r Report) SpeedupOver(ref time.Duration) float64 {
-	if r.Total <= 0 {
-		return 0
-	}
-	return float64(ref) / float64(r.Total)
 }
 
 // Match runs the full CPU–FPGA pipeline for q over g. A nil ctx is treated
@@ -422,12 +414,7 @@ func Match(ctx context.Context, q *graph.Query, g *graph.Graph, cfg Config) (Rep
 	// recovered panic or an exhausted retry budget — keeps the partial
 	// Report (the completion accounting below still applies to the work
 	// done); any other error keeps the original discard semantics.
-	var err error
-	if cfg.Workers > 1 {
-		err = matchParallel(cfg, ct, &rep, c, o, devices, transfer)
-	} else {
-		err = matchSequential(cfg, ct, &rep, c, o, devices, transfer)
-	}
+	err := newPipeline(cfg, ct, &rep, o, devices, transfer).run(c)
 	ct.fstats.fold(&rep)
 	if err != nil && !isFaultError(err) {
 		return Report{}, err
@@ -454,504 +441,310 @@ func Match(ctx context.Context, q *graph.Query, g *graph.Graph, cfg Config) (Rep
 	return rep, ct.err()
 }
 
-// matchSequential is the original streaming pipeline: partitions are
-// processed inline as the partitioner emits them, and the CPU share runs
-// after partitioning finishes.
-func matchSequential(cfg Config, ct *runControl, rep *Report, c *cst.CST, o order.Order, devices []*fpgasim.Device, transfer []time.Duration) error {
-	// Phase 2+3: partition (Algorithm 2) and schedule (Algorithm 3).
-	// Partitions stream out of the partitioner; each is either cached for
-	// the CPU or offloaded immediately to the least-loaded card.
-	var (
-		cpuQueue []*cst.CST
-		kernErr  error
-	)
-	sched := scheduler{delta: cfg.Delta}
-	// Cancellation hooks are installed only for calls that can actually
-	// cancel, limit or stream — a plain Match keeps the pre-context paths.
-	kopts := core.Options{Variant: cfg.Variant, Config: cfg.Device, Collect: cfg.Collect}
-	if ct.active() {
-		cfg.Partition.Cancel = ct.cancelled
-		kopts.Cancel = ct.cancelled
-		kopts.Take = ct.take
-	}
-	if ct.emit != nil {
-		kopts.Emit = func(e graph.Embedding) { ct.send(e) }
-	}
-	// FAST-SHARE's partitioning shortcut (Section VII-B): a CST that still
-	// violates the BRAM/port thresholds may go straight to the CPU —
-	// which has no such constraints — instead of being split further,
-	// saving the recursive partitioning cost. The δ budget gates it.
-	if cfg.Delta > 0 {
-		cfg.Partition.Steal = func(p *cst.CST) bool {
-			if !sched.tryCPU(cst.EstimateWorkload(p)) {
-				return false
-			}
-			cpuQueue = append(cpuQueue, p)
-			rep.CPUPartitions++
-			rep.CSTBytes += p.SizeBytes()
-			return true
-		}
-	}
-	lastResume := time.Now()
-	// The producer runs under the run's recover barrier: Algorithm 2 itself
-	// and the inline offload callback are covered, and a partition-pool
-	// worker panic rethrown by the ordered drain surfaces here as a
-	// *cst.WorkerPanic (converted keeping the worker's stack).
-	perr := func() (perr error) {
-		defer func() {
-			if r := recover(); r != nil {
-				perr = newPanicError("partition", r)
-			}
-		}()
-		rep.NumPartitions = cfg.runPartition(c, o, func(p *cst.CST) {
-			rep.PartitionTime += time.Since(lastResume)
-			defer func() { lastResume = time.Now() }()
-			if kernErr != nil || ct.cancelled() {
-				return
-			}
-			w := cst.EstimateWorkload(p)
-			rep.CSTBytes += p.SizeBytes()
-			if sched.assignToCPU(w) {
-				cpuQueue = append(cpuQueue, p)
-				rep.CPUPartitions++
-				return
-			}
-			// Offload to the healthy card with the least accumulated work.
-			// A card dying under us redistributes the partition to the next
-			// card; losing the last card degrades it to the CPU enumeration
-			// path — identical counts, just slower.
-			for {
-				if ct.cancelled() {
-					return
-				}
-				best := pickDevice(devices, transfer)
-				if best < 0 {
-					cpuQueue = append(cpuQueue, p)
-					ct.fstats.redistributed.Add(1)
-					return
-				}
-				dev := devices[best]
-				dur, err := stageWithRetry(ct, dev, p.SizeBytes())
-				if errors.Is(err, fpgasim.ErrDeviceFailed) {
-					// The death moment — the card was healthy when picked.
-					ct.fstats.deviceDeaths.Add(1)
-					continue
-				}
-				if err == errRetryCancelled {
-					return
-				}
-				if err != nil {
-					kernErr = err
-					return
-				}
-				transfer[best] += dur
-				// A shared Pool bounds kernel work across Match calls; the
-				// sequential pipeline holds one token per kernel run so a
-				// Workers<=1 engine behind a multi-tenant front end draws
-				// from the same budget as the fanned-out ones instead of
-				// adding load beside it. Without a Pool this is the
-				// original path, untouched.
-				if cfg.Pool != nil && !ct.acquirePool(cfg.Pool) {
-					return // cancelled while queued behind other tenants
-				}
-				res, err := runKernelWithRetry(ct, p, o, kopts)
-				if cfg.Pool != nil {
-					<-cfg.Pool
-				}
-				if err == errRetryCancelled {
-					return
-				}
-				if err != nil {
-					kernErr = err
-					return
-				}
-				if res.Stopped && ct.abortive() {
-					dev.AbortKernel(res.Cycles)
-				} else {
-					dev.RunKernel(res.Cycles)
-				}
-				dev.ReleaseDRAM(p.SizeBytes())
-				rep.Embeddings += res.Count
-				rep.KernelCycles += res.Cycles
-				rep.KernelPartials += res.Partials
-				rep.KernelEdgeTasks += res.EdgeTasks
-				rep.KernelRounds += res.Rounds
-				if res.BufferHighWater > rep.MaxBufferUse {
-					rep.MaxBufferUse = res.BufferHighWater
-				}
-				if cfg.Collect {
-					rep.Collected = append(rep.Collected, res.Embeddings...)
-				}
-				return
-			}
-		})
-		return nil
-	}()
-	rep.PartitionTime += time.Since(lastResume)
-	if kernErr != nil {
-		return kernErr
-	}
-	if perr != nil {
-		return perr
-	}
+// pipeline is one Match call's phases 2–5, the paper's single CPU-side flow:
+// a producer partitions the CST (Algorithm 2) and routes every piece by the δ
+// test (Algorithm 3); the offload consumer stages an FPGA-bound piece on a
+// card and runs the kernel on it; the share consumer enumerates a CPU-bound
+// piece with the backtracking matcher; the per-consumer statistics are merged
+// into the Report when everything has drained. Config.Workers selects only
+// where the two consumers run (see dispatch) — the producer, the routing and
+// both consumers are the same code at every width, which is what makes the
+// counts and the δ split independent of it.
+type pipeline struct {
+	cfg   Config
+	ct    *runControl
+	rep   *Report
+	o     order.Order
+	kopts core.Options
 
-	// Phase 5: the CPU processes its cached share with the backtracking
-	// matcher once partitioning finishes (Section V-C). Cancellation is
-	// observed between δ-share partitions and, through the control's
-	// budget, per embedding within one.
-	cpuStart := time.Now()
-	var enumErr error
-	for _, p := range cpuQueue {
-		if ct.cancelled() {
-			break
-		}
-		n, err := enumerateShare(ct, p, o, cfg.Collect, &rep.Collected)
-		rep.Embeddings += n
-		if err != nil {
-			enumErr = err
-			break
-		}
-	}
-	rep.CPUShareTime = time.Since(cpuStart)
-	rep.CPUWorkload, rep.FPGAWorkload = sched.wc, sched.wf
-	return enumErr
+	// Producer state, touched only on the producer (the caller's) goroutine.
+	sched      scheduler
+	lastResume time.Time     // where the PartitionTime clock last started
+	cpuQueue   []*cst.CST    // Workers <= 1: the δ-share, drained when the producer returns
+	fpgaCh     chan *cst.CST // Workers > 1: the consumers' bounded queues
+	cpuCh      chan *cst.CST
+	stats      []consumerStats // [w] is offload worker w's; [0] the inline pool's
+	shareStats consumerStats   // the δ-share consumer's
+
+	// Card state, guarded by devMu. Up to Workers pieces are staged at once,
+	// so a piece that finds no card with room waits on devCond for an
+	// in-flight one to release; inflight > 0 is the guarantee that a release
+	// — and with it a wake-up — is coming.
+	devMu    sync.Mutex
+	devCond  sync.Cond
+	devices  []*fpgasim.Device
+	transfer []time.Duration
+	inflight int
+
+	// First terminal error from any stage; stop tells every other stage.
+	stop    atomic.Bool
+	errOnce sync.Once
+	err     error
 }
 
-// fpgaWorkerStats is one worker's private accumulator; merging them after
-// the pool drains keeps totals deterministic without shared counters.
-type fpgaWorkerStats struct {
+// consumerStats is one consumer's private accumulator; merging them in index
+// order after the consumers drain keeps totals deterministic without shared
+// counters.
+type consumerStats struct {
 	embeddings int64
 	cycles     int64
 	partials   int64
 	edgeTasks  int64
 	rounds     int64
 	maxBuffer  int
+	shareTime  time.Duration // active δ-share enumeration time
 	collected  []graph.Embedding
 }
 
-// errStageCancelled reports that a worker gave up waiting for card DRAM
-// because the run was cancelled; it is a skip signal, not a failure.
-var errStageCancelled = errors.New("host: staging abandoned: run cancelled")
-
-// matchParallel runs phases 2–5 with the FPGA-bound partition queue fanned
-// out across cfg.Workers goroutines while the CPU δ-share drains on its own
-// goroutine, all overlapping the partitioner — the paper's CPU–FPGA
-// co-processing. Scheduling decisions (Algorithm 3) stay on the producer
-// goroutine and see partitions in the exact order the sequential pipeline
-// does, so the δ split, partition counts and embedding totals are identical
-// to matchSequential's.
-func matchParallel(cfg Config, ct *runControl, rep *Report, c *cst.CST, o order.Order, devices []*fpgasim.Device, transfer []time.Duration) error {
-	var (
-		devMu   sync.Mutex
-		stop    atomic.Bool
-		errOnce sync.Once
-		kernErr error
-	)
-	fail := func(err error) {
-		errOnce.Do(func() { kernErr = err })
-		stop.Store(true)
+func newPipeline(cfg Config, ct *runControl, rep *Report, o order.Order, devices []*fpgasim.Device, transfer []time.Duration) *pipeline {
+	p := &pipeline{
+		cfg: cfg, ct: ct, rep: rep, o: o,
+		sched:   scheduler{delta: cfg.Delta},
+		devices: devices, transfer: transfer,
 	}
-	// halted folds the two stop sources every stage checks: a hardware
-	// error on any worker, and the call's cancellation (context, limit,
-	// emit failure).
-	halted := func() bool { return stop.Load() || ct.cancelled() }
-
-	// Modest buffers: enough to decouple the producer from worker jitter,
-	// capped so the resident partition CSTs a Match can hold (buffers plus
-	// one dequeued per worker) stay small — backpressure on the producer
-	// is free, its waits are excluded from PartitionTime.
-	buf := min(cfg.Workers*2, 8)
-	fpgaCh := make(chan *cst.CST, buf)
-	cpuCh := make(chan *cst.CST, buf)
-
-	// FPGA pool: each worker claims a card under devMu, runs the kernel
-	// model outside it, and accumulates into private stats. After an
-	// error workers keep draining the channel (without processing) so the
-	// producer can never block forever.
-	//
-	// Staging: unlike the sequential path — which releases each
-	// partition's DRAM before staging the next — up to Workers partitions
-	// are resident concurrently. A partition that finds no card with room
-	// waits on devCond for an in-flight one to release (guaranteed
-	// progress: inflight > 0 means a release is coming) and only fails
-	// when it would not fit an idle card, exactly when the sequential
-	// pipeline fails too.
-	devCond := sync.NewCond(&devMu)
-	inflight := 0
-	stage := func(p *cst.CST) (*fpgasim.Device, error) {
-		devMu.Lock()
-		defer devMu.Unlock()
-		for {
-			// Re-checked on every wake-up: a cancelled run stops staging
-			// new partitions (in-flight kernels abort between rounds and
-			// release their DRAM, so waiters always wake).
-			if halted() {
-				return nil, errStageCancelled
-			}
-			// Dead cards never come back mid-run: once none are healthy
-			// the caller degrades the partition to the CPU enumeration
-			// path instead of waiting on releases that cannot help.
-			healthy := 0
-			for i := range devices {
-				if devices[i].Healthy() {
-					healthy++
-				}
-			}
-			if healthy == 0 {
-				return nil, errAllDevicesDead
-			}
-			// Try healthy cards in ascending accumulated-load order via a
-			// selection scan — alloc-free under the contended lock, and
-			// NumFPGAs is tiny (the bitmask caps it at 64 cards, far
-			// beyond any modelled deployment).
-			var tried uint64
-			var lastErr error
-			for t := 0; t < len(devices) && t < 64; t++ {
-				best := -1
-				for i := range devices {
-					if i >= 64 || tried&(1<<uint(i)) != 0 || !devices[i].Healthy() {
-						continue
-					}
-					if best < 0 || devices[i].Busy()+transfer[i] < devices[best].Busy()+transfer[best] {
-						best = i
-					}
-				}
-				if best < 0 {
-					break // every healthy card tried
-				}
-				tried |= 1 << uint(best)
-				dur, err := devices[best].StageDRAM(p.SizeBytes())
-				if err == nil {
-					transfer[best] += dur
-					inflight++
-					return devices[best], nil
-				}
-				if errors.Is(err, fpgasim.ErrDeviceFailed) {
-					// The death moment — the card was healthy when picked;
-					// scan on across the survivors.
-					ct.fstats.deviceDeaths.Add(1)
-					continue
-				}
-				// Transient faults and DRAM overflows both land here: with
-				// nothing in flight the error goes to the worker (which
-				// backs off and retries a transient outside this lock);
-				// otherwise wait for a release and rescan.
-				lastErr = err
-			}
-			if inflight == 0 {
-				if lastErr == nil {
-					// Every card scanned died under us.
-					return nil, errAllDevicesDead
-				}
-				return nil, lastErr
-			}
-			devCond.Wait()
-		}
-	}
-	release := func(dev *fpgasim.Device, p *cst.CST, cycles int64, aborted bool) {
-		devMu.Lock()
-		if cycles > 0 {
-			if aborted {
-				dev.AbortKernel(cycles)
-			} else {
-				dev.RunKernel(cycles)
-			}
-		}
-		dev.ReleaseDRAM(p.SizeBytes())
-		inflight--
-		devCond.Broadcast()
-		devMu.Unlock()
-	}
-	// Per-call hooks: the kernels poll the shared halt state between batch
-	// rounds (so a deadline interrupts a pathological partition mid-flight),
-	// and reserve result slots when a limit or stream is in play.
-	kopts := core.Options{Variant: cfg.Variant, Config: cfg.Device, Collect: cfg.Collect, Cancel: halted}
+	p.devCond.L = &p.devMu
+	// The kernels poll the halt state between batch rounds, so a deadline or
+	// a sibling's failure interrupts a pathological piece mid-flight. The
+	// producer's poll and the result-slot reservation are installed only for
+	// calls that can actually cancel, limit or stream.
+	halted := p.halted
+	p.kopts = core.Options{Variant: cfg.Variant, Config: cfg.Device, Collect: cfg.Collect, Cancel: halted}
 	if ct.active() {
-		kopts.Take = ct.take
+		p.kopts.Take = ct.take
+		p.cfg.Partition.Cancel = halted
 	}
 	if ct.emit != nil {
-		kopts.Emit = func(e graph.Embedding) { ct.send(e) }
+		p.kopts.Emit = func(e graph.Embedding) { ct.send(e) }
 	}
-	stats := make([]fpgaWorkerStats, cfg.Workers)
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func(st *fpgaWorkerStats) {
-			defer wg.Done()
-			for p := range fpgaCh {
-				if halted() {
-					continue
-				}
-				// Same cancellable acquire as the sequential path: a
-				// deadlined call must not queue behind other tenants on a
-				// saturated shared budget.
-				if cfg.Pool != nil && !ct.acquirePool(cfg.Pool) {
-					continue
-				}
-				dev, err := stageParallel(ct, stage, p)
-				if err != nil {
-					if err == errAllDevicesDead {
-						// Degrade: every card is dead, so this worker
-						// enumerates the partition on the CPU itself (the
-						// δ-share consumer's channel may already be closed)
-						// and the call still completes with identical
-						// counts. The pool token is held — it is real work.
-						ct.fstats.redistributed.Add(1)
-						n, eerr := enumerateShare(ct, p, o, cfg.Collect, &st.collected)
-						st.embeddings += n
-						if eerr != nil {
-							fail(eerr)
-						}
-					} else if err != errStageCancelled {
-						fail(err)
-					}
-					if cfg.Pool != nil {
-						<-cfg.Pool
-					}
-					continue
-				}
-				res, err := runKernelWithRetry(ct, p, o, kopts)
-				var cycles int64
-				if err == nil {
-					cycles = res.Cycles
-				}
-				release(dev, p, cycles, err == nil && res.Stopped && ct.abortive())
-				if cfg.Pool != nil {
-					<-cfg.Pool
-				}
-				if err != nil {
-					if err != errRetryCancelled {
-						fail(err)
-					}
-					continue
-				}
-				st.embeddings += res.Count
-				st.cycles += res.Cycles
-				st.partials += res.Partials
-				st.edgeTasks += res.EdgeTasks
-				st.rounds += res.Rounds
-				if res.BufferHighWater > st.maxBuffer {
-					st.maxBuffer = res.BufferHighWater
-				}
-				if cfg.Collect {
-					st.collected = append(st.collected, res.Embeddings...)
-				}
-			}
-		}(&stats[w])
-	}
-
-	// CPU δ-share consumer: enumerates its cached partitions while the
-	// FPGA pool and the partitioner are still running. CPUShareTime is the
-	// consumer's active enumeration time, matching the sequential report's
-	// "wall time of the host's share" semantics.
-	var (
-		cpuWG        sync.WaitGroup
-		cpuCount     int64
-		cpuCollected []graph.Embedding
-		cpuActive    time.Duration
-	)
-	cpuWG.Add(1)
-	go func() {
-		defer cpuWG.Done()
-		for p := range cpuCh {
-			if halted() {
-				continue
-			}
-			start := time.Now()
-			n, err := enumerateShare(ct, p, o, cfg.Collect, &cpuCollected)
-			cpuCount += n
-			cpuActive += time.Since(start)
-			if err != nil {
-				fail(err)
-			}
-		}
-	}()
-
-	// Producer: Algorithms 2 and 3 on the caller's goroutine.
-	// PartitionTime accounts only the partitioner's own work — the resume
-	// points bracket every channel send so backpressure waits (which
-	// overlap kernel execution and are already counted in FPGATime /
-	// CPUShareTime) are not double-counted into Total, keeping the report
-	// comparable with the sequential pipeline's.
-	lastResume := time.Now()
-	send := func(ch chan *cst.CST, p *cst.CST) {
-		rep.PartitionTime += time.Since(lastResume)
-		ch <- p
-		lastResume = time.Now()
-	}
-	sched := scheduler{delta: cfg.Delta}
-	if ct.active() {
-		// Stop producing once the run is cancelled; the concurrent producer
-		// also abandons its speculation and drains its task pool.
-		cfg.Partition.Cancel = halted
-	}
+	// FAST-SHARE's partitioning shortcut (Section VII-B): a CST that still
+	// violates the BRAM/port thresholds may go straight to the CPU — which
+	// has no such constraints — instead of being split further, saving the
+	// recursive partitioning cost. The δ budget gates it.
 	if cfg.Delta > 0 {
-		cfg.Partition.Steal = func(p *cst.CST) bool {
-			if !sched.tryCPU(cst.EstimateWorkload(p)) {
-				return false
-			}
-			rep.CPUPartitions++
-			rep.CSTBytes += p.SizeBytes()
-			send(cpuCh, p)
-			return true
-		}
+		p.cfg.Partition.Steal = p.steal
 	}
-	// The producer runs under the run's recover barrier: a panic anywhere
-	// in Algorithm 2 — including a partition-pool worker panic rethrown by
-	// the ordered drain as a *cst.WorkerPanic — is converted to a typed
-	// error here, before the channels close, so the consumers always drain
-	// and the WaitGroups always resolve.
-	perr := func() (perr error) {
-		defer func() {
-			if r := recover(); r != nil {
-				perr = newPanicError("partition", r)
+	return p
+}
+
+// fail records the run's first terminal error and halts every stage.
+func (p *pipeline) fail(err error) {
+	p.errOnce.Do(func() { p.err = err })
+	p.stop.Store(true)
+}
+
+// halted folds the two stop sources every stage checks: a terminal error on
+// any stage, and the call's cancellation (context, limit, emit failure).
+func (p *pipeline) halted() bool { return p.stop.Load() || p.ct.cancelled() }
+
+// run drives phases 2–5 to completion and returns the first terminal error.
+// The statistics of the work done are merged into the Report either way, so
+// a fault-class error still comes back on a Report covering that work.
+func (p *pipeline) run(c *cst.CST) error {
+	stats := make([]consumerStats, p.cfg.Workers) // one per offload worker; dispatch reaches [0] through p
+	p.stats = stats
+	var wg sync.WaitGroup
+	if p.cfg.Workers > 1 {
+		// Modest buffers: enough to decouple the producer from consumer
+		// jitter, capped so the resident pieces a Match can hold (buffers plus
+		// one dequeued per worker) stay small — backpressure on the producer
+		// is free, its waits are excluded from PartitionTime. After a halt the
+		// consumers keep draining without processing, so the producer can
+		// never block forever.
+		buf := min(p.cfg.Workers*2, 8)
+		p.fpgaCh = make(chan *cst.CST, buf)
+		p.cpuCh = make(chan *cst.CST, buf)
+		for w := 0; w < p.cfg.Workers; w++ {
+			wg.Add(1)
+			go func(st *consumerStats) {
+				defer wg.Done()
+				for piece := range p.fpgaCh {
+					if !p.halted() {
+						p.offload(piece, st)
+					}
+				}
+			}(&stats[w])
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for piece := range p.cpuCh {
+				if !p.halted() {
+					p.share(piece, &p.shareStats)
+				}
 			}
 		}()
-		rep.NumPartitions = cfg.runPartition(c, o, func(p *cst.CST) {
-			w := cst.EstimateWorkload(p)
-			rep.CSTBytes += p.SizeBytes()
-			if sched.assignToCPU(w) {
-				rep.CPUPartitions++
-				send(cpuCh, p)
-				return
-			}
-			send(fpgaCh, p)
-		})
-		return nil
-	}()
-	rep.PartitionTime += time.Since(lastResume)
-	if perr != nil {
-		fail(perr)
 	}
-	close(fpgaCh)
-	close(cpuCh)
-	wg.Wait()
-	cpuWG.Wait()
-	if kernErr != nil {
-		return kernErr
+
+	if err := p.produce(c); err != nil {
+		p.fail(err)
+	}
+	if p.cfg.Workers > 1 {
+		close(p.fpgaCh)
+		close(p.cpuCh)
+		wg.Wait()
+	} else {
+		// Section V-C: the CPU processes its cached share once partitioning
+		// finishes.
+		for _, piece := range p.cpuQueue {
+			if p.halted() {
+				break
+			}
+			p.share(piece, &p.shareStats)
+		}
 	}
 
 	for i := range stats {
-		st := &stats[i]
-		rep.Embeddings += st.embeddings
-		rep.KernelCycles += st.cycles
-		rep.KernelPartials += st.partials
-		rep.KernelEdgeTasks += st.edgeTasks
-		rep.KernelRounds += st.rounds
-		if st.maxBuffer > rep.MaxBufferUse {
-			rep.MaxBufferUse = st.maxBuffer
-		}
-		if cfg.Collect {
-			rep.Collected = append(rep.Collected, st.collected...)
-		}
+		p.rep.merge(&stats[i])
 	}
-	rep.Embeddings += cpuCount
-	rep.CPUShareTime = cpuActive
-	if cfg.Collect {
-		rep.Collected = append(rep.Collected, cpuCollected...)
+	p.rep.merge(&p.shareStats)
+	p.rep.CPUWorkload, p.rep.FPGAWorkload = p.sched.wc, p.sched.wf
+	return p.err
+}
+
+// merge folds one consumer's accumulator into the report.
+func (r *Report) merge(st *consumerStats) {
+	r.Embeddings += st.embeddings
+	r.KernelCycles += st.cycles
+	r.KernelPartials += st.partials
+	r.KernelEdgeTasks += st.edgeTasks
+	r.KernelRounds += st.rounds
+	r.MaxBufferUse = max(r.MaxBufferUse, st.maxBuffer)
+	r.CPUShareTime += st.shareTime
+	if r.Collected == nil {
+		r.Collected = st.collected // the common case adopts the slice instead of copying it
+	} else {
+		r.Collected = append(r.Collected, st.collected...)
 	}
-	rep.CPUWorkload, rep.FPGAWorkload = sched.wc, sched.wf
+}
+
+// produce runs Algorithms 2 and 3 on the caller's goroutine under the run's
+// recover barrier: a panic anywhere in the producer — Algorithm 2 itself, an
+// inline consumer, or a partition-pool worker panic rethrown by the ordered
+// drain as a *cst.WorkerPanic (converted keeping the worker's stack) —
+// becomes a typed error here, before the queues close, so the consumers
+// always drain and the WaitGroup always resolves. Pieces, Steal offers and
+// routing decisions arrive in the same order whatever PartitionWorkers is.
+//
+// PartitionTime accounts only the producer's own work: the clock stops
+// around every dispatch, so neither an inline kernel run nor a backpressure
+// wait on a full queue (both already counted in FPGATime / CPUShareTime) is
+// double-counted into Total.
+//
+//fastmatch:recoverbarrier
+func (p *pipeline) produce(c *cst.CST) (err error) {
+	p.lastResume = time.Now()
+	defer func() {
+		p.rep.PartitionTime += time.Since(p.lastResume)
+		if r := recover(); r != nil {
+			err = newPanicError("partition", r)
+		}
+	}()
+	p.rep.NumPartitions = cst.PartitionConcurrent(c, p.o, p.cfg.Partition, p.cfg.PartitionWorkers, p.route)
 	return nil
+}
+
+// steal is the Partition Steal hook: the non-committing δ test on a piece
+// that still violates the thresholds.
+func (p *pipeline) steal(piece *cst.CST) bool {
+	if !p.sched.tryCPU(cst.EstimateWorkload(piece)) {
+		return false
+	}
+	p.rep.CSTBytes += piece.SizeBytes()
+	p.dispatch(piece, true)
+	return true
+}
+
+// route is the Partition process callback: the δ test on a finished piece.
+func (p *pipeline) route(piece *cst.CST) {
+	if p.halted() {
+		return
+	}
+	w := cst.EstimateWorkload(piece)
+	p.rep.CSTBytes += piece.SizeBytes()
+	p.dispatch(piece, p.sched.assignToCPU(w))
+}
+
+// dispatch hands a routed piece to its consumer. Workers <= 1 is the
+// degenerate pool that runs the consumers on the producer's goroutine — an
+// FPGA-bound piece inline, in producer order, the δ-share queued until the
+// producer returns — with no channel and no goroutine, which is what keeps a
+// cached-plan one-piece Match at a few dozen allocations
+// (TestMatchAllocsBounded). Workers > 1 feeds the same consumers through the
+// bounded queues.
+func (p *pipeline) dispatch(piece *cst.CST, toCPU bool) {
+	p.rep.PartitionTime += time.Since(p.lastResume)
+	if toCPU {
+		p.rep.CPUPartitions++
+	}
+	switch {
+	case p.fpgaCh == nil && toCPU:
+		p.cpuQueue = append(p.cpuQueue, piece)
+	case p.fpgaCh == nil:
+		p.offload(piece, &p.stats[0])
+	case toCPU:
+		p.cpuCh <- piece
+	default:
+		p.fpgaCh <- piece
+	}
+	p.lastResume = time.Now()
+}
+
+// offload is the FPGA-side consumer for one piece: take a pool token, stage
+// the piece on a card, run the kernel, release the card and the token, and
+// accumulate into st. Losing the last card degrades the piece to the CPU
+// enumeration path on this goroutine — identical counts, just slower; the
+// token stays held, it is real work.
+func (p *pipeline) offload(piece *cst.CST, st *consumerStats) {
+	// A shared Pool bounds kernel work across Match calls. The acquire is
+	// cancellable: a deadlined call must not queue behind other tenants on a
+	// saturated budget.
+	if p.cfg.Pool != nil {
+		if !p.ct.acquirePool(p.cfg.Pool) {
+			return
+		}
+		defer func() { <-p.cfg.Pool }()
+	}
+	dev, err := p.stage(piece)
+	switch {
+	case err == errAllDevicesDead:
+		p.ct.fstats.redistributed.Add(1)
+		p.share(piece, st)
+		return
+	case err == errRunHalted:
+		return
+	case err != nil:
+		p.fail(err)
+		return
+	}
+	res, err := runKernelWithRetry(p.ct, piece, p.o, p.kopts)
+	if err != nil {
+		p.release(dev, piece, 0, false)
+		if err != errRunHalted {
+			p.fail(err)
+		}
+		return
+	}
+	p.release(dev, piece, res.Cycles, res.Stopped && p.ct.abortive())
+	st.embeddings += res.Count
+	st.cycles += res.Cycles
+	st.partials += res.Partials
+	st.edgeTasks += res.EdgeTasks
+	st.rounds += res.Rounds
+	st.maxBuffer = max(st.maxBuffer, res.BufferHighWater)
+	st.collected = append(st.collected, res.Embeddings...)
+}
+
+// share is the CPU-side consumer for one piece: enumerate it with the
+// backtracking matcher under the control's budget (cancellation and the
+// limit are observed per embedding) and accumulate into st.
+func (p *pipeline) share(piece *cst.CST, st *consumerStats) {
+	start := time.Now()
+	n, err := enumerateShare(p.ct, piece, p.o, p.cfg.Collect, &st.collected)
+	st.embeddings += n
+	st.shareTime += time.Since(start)
+	if err != nil {
+		p.fail(err)
+	}
 }
 
 // scheduler is Algorithm 3's running-total state.

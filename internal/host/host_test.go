@@ -252,3 +252,31 @@ func TestPartitionedMatchesUnpartitioned(t *testing.T) {
 		}
 	}
 }
+
+// TestMatchAllocsBounded is the tripwire for a channel or goroutine creeping
+// into the Workers <= 1 path: a cached-plan Match on the inline pool costs a
+// few dozen allocations (the bounds are the counts measured before the two
+// schedulers became one pipeline), where one pass through the fanned-out
+// pool costs about twice that. The serving benchmarks run at this width, so
+// a regression here is a regression in their allocs_per_op.
+func TestMatchAllocsBounded(t *testing.T) {
+	g := ldbc.Generate(ldbc.Config{ScaleFactor: 1, BasePersons: 400, Seed: 42})
+	for name, bound := range map[string]float64{"q1": 47, "q3": 56} {
+		q, err := ldbc.QueryByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := Config{Workers: 1, PartitionWorkers: 1, Delta: 0.1}
+		if cfg.Plan, err = Prepare(context.Background(), q, g, cfg); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := Match(context.Background(), q, g, cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > bound {
+			t.Errorf("%s: cached-plan Match allocates %v times per run; want <= %v", name, allocs, bound)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package host
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -29,55 +30,76 @@ func parallelTestSetup() (*graph.Graph, Config) {
 	}
 }
 
-// TestMatchWorkersCountsEqualSequential: for every LDBC query, Workers > 1
-// must reproduce the sequential pipeline byte-for-byte on everything the
-// scheduler decides — embedding totals, partition counts, the δ split and
-// the aggregated kernel statistics.
-func TestMatchWorkersCountsEqualSequential(t *testing.T) {
+// widthCounts is everything a Report states that must not depend on the
+// pipeline's width: the embedding total, the partition counts, the δ split
+// and the aggregated kernel statistics.
+type widthCounts struct {
+	Embeddings                                                  int64
+	NumPartitions, CPUPartitions                                int
+	CPUWorkload, FPGAWorkload                                   float64
+	KernelCycles, KernelPartials, KernelEdgeTasks, KernelRounds int64
+	CSTBytes                                                    int64
+	MaxBufferUse                                                int
+}
+
+func countsOf(r Report) widthCounts {
+	return widthCounts{
+		r.Embeddings, r.NumPartitions, r.CPUPartitions, r.CPUWorkload, r.FPGAWorkload,
+		r.KernelCycles, r.KernelPartials, r.KernelEdgeTasks, r.KernelRounds, r.CSTBytes, r.MaxBufferUse,
+	}
+}
+
+// checkWidthParity runs every LDBC query at each (δ, Workers,
+// PartitionWorkers) cell and requires the Workers=PartitionWorkers=1 row's
+// counts byte-for-byte: it is one pipeline run at different widths, so
+// nothing the scheduler decides may move.
+func checkWidthParity(t *testing.T, deltas []float64, workers, pworkers []int) {
+	t.Helper()
 	g, base := parallelTestSetup()
 	for _, name := range []string{"q1", "q2", "q3", "q4", "q5"} {
 		q, err := ldbc.QueryByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		seq, err := Match(context.Background(), q, g, base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if seq.NumPartitions < 2 {
-			t.Errorf("%s: only %d partitions — device not small enough to exercise the pool", name, seq.NumPartitions)
-		}
-		for _, workers := range []int{2, 4} {
+		for _, delta := range deltas {
 			cfg := base
-			cfg.Workers = workers
-			par, err := Match(context.Background(), q, g, cfg)
+			cfg.Delta = delta
+			ref, err := Match(context.Background(), q, g, cfg)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%s δ=%v: reference match: %v", name, delta, err)
 			}
-			if par.Embeddings != seq.Embeddings {
-				t.Errorf("%s workers=%d: %d embeddings, want %d", name, workers, par.Embeddings, seq.Embeddings)
+			if ref.Embeddings == 0 || ref.NumPartitions < 2 {
+				t.Fatalf("%s δ=%v: %d embeddings in %d partitions — test has no teeth",
+					name, delta, ref.Embeddings, ref.NumPartitions)
 			}
-			if par.NumPartitions != seq.NumPartitions || par.CPUPartitions != seq.CPUPartitions {
-				t.Errorf("%s workers=%d: partitions %d/%d cpu, want %d/%d",
-					name, workers, par.NumPartitions, par.CPUPartitions, seq.NumPartitions, seq.CPUPartitions)
-			}
-			if par.KernelCycles != seq.KernelCycles || par.KernelPartials != seq.KernelPartials ||
-				par.KernelEdgeTasks != seq.KernelEdgeTasks || par.KernelRounds != seq.KernelRounds {
-				t.Errorf("%s workers=%d: kernel stats diverge from sequential", name, workers)
-			}
-			if par.CSTBytes != seq.CSTBytes {
-				t.Errorf("%s workers=%d: CSTBytes %d, want %d", name, workers, par.CSTBytes, seq.CSTBytes)
-			}
-			if par.CPUWorkload != seq.CPUWorkload || par.FPGAWorkload != seq.FPGAWorkload {
-				t.Errorf("%s workers=%d: δ split (%v,%v), want (%v,%v)",
-					name, workers, par.CPUWorkload, par.FPGAWorkload, seq.CPUWorkload, seq.FPGAWorkload)
+			for _, w := range workers {
+				for _, pw := range pworkers {
+					cfg.Workers, cfg.PartitionWorkers = w, pw
+					rep, err := Match(context.Background(), q, g, cfg)
+					if err != nil {
+						t.Fatalf("%s δ=%v workers=%d pw=%d: %v", name, delta, w, pw, err)
+					}
+					if got, want := countsOf(rep), countsOf(ref); got != want {
+						t.Errorf("%s δ=%v workers=%d pw=%d:\n got %+v\nwant %+v", name, delta, w, pw, got, want)
+					}
+				}
 			}
 		}
 	}
 }
 
-// TestMatchWorkersCollectSameSet: collected embeddings arrive in a
-// nondeterministic order under Workers > 1 but must form the same set.
+// TestMatchWorkersCountsEqualSequential: fanning the consumers out, at any
+// producer width and with the δ-share on or off, reproduces the inline
+// pool's counts.
+func TestMatchWorkersCountsEqualSequential(t *testing.T) {
+	checkWidthParity(t, []float64{0, 0.1}, []int{2, 4}, []int{1, 2, 4})
+}
+
+// TestMatchWorkersCollectSameSet: at Workers <= 1 the collected embeddings
+// are a deterministic sequence — FPGA-bound pieces in producer order, then
+// the δ-share — whatever the producer's width, which is the emission order
+// fast.Engine documents; under Workers > 1 they arrive in a nondeterministic
+// order but must form the same set.
 func TestMatchWorkersCollectSameSet(t *testing.T) {
 	g, base := parallelTestSetup()
 	q, err := ldbc.QueryByName("q2")
@@ -85,31 +107,49 @@ func TestMatchWorkersCollectSameSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	base.Collect = true
-	seq, err := Match(context.Background(), q, g, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := base
-	cfg.Workers = 4
-	par, err := Match(context.Background(), q, g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	keys := func(es []graph.Embedding) []string {
 		out := make([]string, len(es))
 		for i, e := range es {
 			out[i] = e.Key()
 		}
-		sort.Strings(out)
 		return out
 	}
-	sk, pk := keys(seq.Collected), keys(par.Collected)
-	if len(sk) != len(pk) {
-		t.Fatalf("collected %d embeddings, want %d", len(pk), len(sk))
-	}
-	for i := range sk {
-		if sk[i] != pk[i] {
-			t.Fatalf("embedding sets differ at %d", i)
+	var seq []string
+	for _, tc := range []struct {
+		name              string
+		workers, pworkers int
+		sameSequence      bool
+	}{
+		{"inline", 1, 1, true},
+		{"inline again", 1, 1, true},
+		{"inline, concurrent producer", 1, 2, true},
+		{"fanned out", 4, 1, false},
+		{"fanned out, concurrent producer", 4, 4, false},
+	} {
+		cfg := base
+		cfg.Workers, cfg.PartitionWorkers = tc.workers, tc.pworkers
+		rep, err := Match(context.Background(), q, g, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		got := keys(rep.Collected)
+		if seq == nil {
+			if rep.CPUPartitions == 0 || rep.CPUPartitions == rep.NumPartitions {
+				t.Fatalf("%d of %d partitions on the CPU — need both sides for the order to mean anything",
+					rep.CPUPartitions, rep.NumPartitions)
+			}
+			seq = got
+			continue
+		}
+		want := seq
+		if !tc.sameSequence {
+			sort.Strings(got)
+			want = append([]string(nil), seq...)
+			sort.Strings(want)
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: collected %d embeddings differing from the inline run's %d (same sequence required: %v)",
+				tc.name, len(got), len(want), tc.sameSequence)
 		}
 	}
 }
@@ -162,8 +202,8 @@ func TestPreparePlanReuse(t *testing.T) {
 }
 
 // TestMatchWorkersTightDRAM: when card DRAM has room for only one staged
-// partition, parallel workers must wait for in-flight releases rather than
-// fail — any workload that succeeds sequentially succeeds fanned out.
+// partition, fanned-out workers must wait for in-flight releases rather than
+// fail — any workload that succeeds on the inline pool succeeds fanned out.
 func TestMatchWorkersTightDRAM(t *testing.T) {
 	g, base := parallelTestSetup()
 	base.Delta = 0 // keep the partition stream independent of scheduling

@@ -8,54 +8,13 @@ import (
 	"fastmatch/ldbc"
 )
 
-// TestMatchPartitionWorkersParity is the host half of the acceptance gate:
-// for every LDBC query and PartitionWorkers ∈ {1, 2, 4}, both pipelines
-// (sequential Workers<=1 and the Workers>1 fan-out, each with the CPU
-// δ-share active) report byte-identical embedding totals, partition counts
-// and δ splits. The CI -race job runs this, pitting the concurrent producer
-// against the δ-share drain and the FPGA worker pool at once.
+// TestMatchPartitionWorkersParity is the producer-width half of the parity
+// table: the concurrent producer feeding the inline pool (Workers 1) and an
+// odd fan-out, with the FAST-SHARE Steal hook in play. The CI -race job runs
+// this, pitting the concurrent producer against the δ-share drain and the
+// FPGA worker pool at once.
 func TestMatchPartitionWorkersParity(t *testing.T) {
-	g, base := parallelTestSetup() // Delta 0.1 keeps the FAST-SHARE Steal hook in play
-	for _, name := range []string{"q1", "q2", "q3", "q4", "q5"} {
-		q, err := ldbc.QueryByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref, err := Match(context.Background(), q, g, base)
-		if err != nil {
-			t.Fatalf("%s: reference match: %v", name, err)
-		}
-		if ref.Embeddings == 0 {
-			t.Fatalf("%s: reference found no embeddings — test has no teeth", name)
-		}
-		for _, pw := range []int{1, 2, 4} {
-			for _, workers := range []int{1, 3} {
-				cfg := base
-				cfg.PartitionWorkers = pw
-				cfg.Workers = workers
-				rep, err := Match(context.Background(), q, g, cfg)
-				if err != nil {
-					t.Fatalf("%s pw=%d workers=%d: %v", name, pw, workers, err)
-				}
-				if rep.Embeddings != ref.Embeddings {
-					t.Errorf("%s pw=%d workers=%d: %d embeddings, want %d",
-						name, pw, workers, rep.Embeddings, ref.Embeddings)
-				}
-				if rep.NumPartitions != ref.NumPartitions {
-					t.Errorf("%s pw=%d workers=%d: %d partitions, want %d",
-						name, pw, workers, rep.NumPartitions, ref.NumPartitions)
-				}
-				if rep.CPUPartitions != ref.CPUPartitions {
-					t.Errorf("%s pw=%d workers=%d: %d CPU partitions, want %d",
-						name, pw, workers, rep.CPUPartitions, ref.CPUPartitions)
-				}
-				if rep.CPUWorkload != ref.CPUWorkload || rep.FPGAWorkload != ref.FPGAWorkload {
-					t.Errorf("%s pw=%d workers=%d: δ split (%v,%v), want (%v,%v)", name, pw, workers,
-						rep.CPUWorkload, rep.FPGAWorkload, ref.CPUWorkload, ref.FPGAWorkload)
-				}
-			}
-		}
-	}
+	checkWidthParity(t, []float64{0.1}, []int{1, 3}, []int{2, 4})
 }
 
 // TestMatchPartitionWorkersConcurrentCallers: many goroutines running

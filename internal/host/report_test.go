@@ -3,23 +3,11 @@ package host
 import (
 	"context"
 	"testing"
-	"time"
 
 	"fastmatch/internal/core"
 	"fastmatch/internal/fpgasim"
 	"fastmatch/ldbc"
 )
-
-func TestReportSpeedupOver(t *testing.T) {
-	r := Report{Total: 10 * time.Millisecond}
-	if got := r.SpeedupOver(100 * time.Millisecond); got != 10 {
-		t.Errorf("SpeedupOver = %v, want 10", got)
-	}
-	var zero Report
-	if got := zero.SpeedupOver(time.Second); got != 0 {
-		t.Errorf("zero-total speedup = %v", got)
-	}
-}
 
 func TestReportTransferAccounting(t *testing.T) {
 	g := smallSocial(t)
