@@ -1,24 +1,15 @@
-// Command fastbench regenerates the paper's tables and figures, and runs
-// the machine-readable matching benchmark that feeds BENCH_*.json
-// trajectory tracking.
+// Command fastbench regenerates the paper's tables and figures.
 //
 // Usage:
 //
 //	fastbench -list
 //	fastbench -exp fig14
 //	fastbench -exp all -base 200 -timeout 10s -out results.txt
-//	fastbench -bench -workers 1,2,4 -variants sep,share -json bench.json
-//	fastbench -bench -workers 4 -pworkers 1 -json serial-producer.json
-//	fastbench -bench -workers 1,2 -limits 0,1000 -mtimeout 30s -json bench.json
-//	fastbench -bench -workers 1 -reps 1 -limits 0,2000 -compare BENCH_pr10.json
-//	fastbench -bench -workers 1 -cpuprofile cpu.pprof -memprofile mem.pprof
+//	fastbench -exp fig13 -cpuprofile cpu.pprof -memprofile mem.pprof
 //
 // Each experiment prints one or more aligned text tables; EXPERIMENTS.md
 // maps them back to the paper's figures and records the expected shapes.
-// -bench instead sweeps kernel variants × worker-pool sizes over the LDBC
-// queries through fast.Engine and emits one JSON document with per-run
-// counts and timings (wall_ns is measured host wall-clock; model_ns the
-// pipeline's modelled total).
+// The performance record is a separate program (go run ./benchmark).
 package main
 
 import (
@@ -46,25 +37,13 @@ func main() {
 		out     = flag.String("out", "", "write results to file instead of stdout")
 		format  = flag.String("format", "text", "output format: text or csv")
 
-		bench    = flag.Bool("bench", false, "run the JSON matching benchmark instead of an experiment")
-		reps     = flag.Int("reps", 0, "measured repetitions per bench cell after warm-up (default 5)")
-		workers  = flag.String("workers", "1", "comma-separated worker-pool sizes to sweep (bench mode)")
-		pworkers = flag.Int("pworkers", 0, "partition-producer pool size; 0 matches each cell's -workers value (bench mode)")
-		variants = flag.String("variants", "share", "comma-separated kernel variants to sweep, or 'all' (bench mode)")
-		limits   = flag.String("limits", "0", "comma-separated per-call embedding limits to sweep; 0 = unlimited (bench mode)")
-		mtimeout = flag.Duration("mtimeout", 0, "per-call WithTimeout budget for every bench cell; 0 = none (bench mode)")
-		graphs   = flag.Int("graphs", 1, "serve this many generated graphs (seeds seed,seed+1,…) concurrently through one Router per cell, measuring cross-tenant contention (bench mode)")
-		sf       = flag.Float64("sf", 1, "LDBC scale factor (bench mode)")
-		jsonOut  = flag.String("json", "", "write bench JSON to file instead of stdout (bench mode)")
-		compare  = flag.String("compare", "", "previous BENCH_*.json: fail on count drift in shared sweep cells (bench mode)")
-
 		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memprofile = flag.String("memprofile", "", "write a pprof heap profile (after the run) to this file")
 	)
 	flag.Parse()
 
-	// Profiling wraps both modes so perf PRs can attach pprof evidence from
-	// the exact workload they claim to speed up. stop() flushes the CPU
+	// Profiling wraps the run so perf PRs can attach pprof evidence from the
+	// exact experiment they claim to speed up. stop() flushes the CPU
 	// profile and writes the heap profile; exit routes every error path
 	// through it because os.Exit skips deferred calls.
 	stop, err := startProfiles(*cpuprofile, *memprofile)
@@ -76,29 +55,6 @@ func main() {
 	exit := func(code int) {
 		stop()
 		os.Exit(code)
-	}
-
-	if *bench {
-		cfg := benchConfig{
-			ScaleFactor: *sf,
-			BasePersons: *base,
-			Seed:        *seed,
-			Reps:        *reps,
-			Workers:     *workers,
-			PWorkers:    *pworkers,
-			Variants:    *variants,
-			Queries:     *queries,
-			Limits:      *limits,
-			MTimeout:    *mtimeout,
-			Graphs:      *graphs,
-			Out:         *jsonOut,
-			Compare:     *compare,
-		}
-		if err := runBench(cfg); err != nil {
-			fmt.Fprintln(os.Stderr, "fastbench:", err)
-			exit(1)
-		}
-		return
 	}
 
 	if *list {

@@ -9,11 +9,8 @@
 //
 //	fastload -url http://localhost:8080 -graph social -queries q1,q2 -rps 50 -duration 10s
 //	fastload -graph hot -rps 200 -timeout-ms 100 -json load.json
-//	fastload -graph social -duration 5s -merge BENCH_pr7.json
 //
-// -json writes the serving record alone; -merge folds it into an existing
-// fastbench BENCH_*.json document under its "serving" list, adding the
-// latency-histogram and shed-rate columns next to the matching trajectory.
+// -json writes the serving record (latency histogram, shed rates) to a file.
 // -faults additionally scrapes the server's fault-tolerance counters
 // (recovered panics, circuit-breaker trips and sheds) from /metrics into a
 // "faults" column after the run.
@@ -101,7 +98,6 @@ func main() {
 		timeoutMS = flag.Int64("timeout-ms", 0, "per-request timeout_ms field; 0 = none")
 		limit     = flag.Int64("limit", 0, "per-request embedding limit; 0 = unlimited")
 		jsonOut   = flag.String("json", "", "write the serving record to this file")
-		merge     = flag.String("merge", "", "fold the serving record into this existing BENCH_*.json")
 		faults    = flag.Bool("faults", false, "scrape the server's fault-tolerance counters (/metrics) into the record after the run")
 	)
 	flag.Parse()
@@ -174,13 +170,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, "fastload:", err)
 			os.Exit(1)
 		}
-	}
-	if *merge != "" {
-		if err := mergeInto(*merge, rec); err != nil {
-			fmt.Fprintln(os.Stderr, "fastload:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("merged serving record into %s\n", *merge)
 	}
 	if rec.OtherErrors > 0 {
 		os.Exit(1)
@@ -334,29 +323,4 @@ func writeJSONFile(path string, v any) error {
 		return err
 	}
 	return os.WriteFile(path, buf.Bytes(), 0o644)
-}
-
-// mergeInto appends rec to the "serving" list of an existing fastbench
-// JSON document, preserving everything else byte-for-byte semantically
-// (the document is re-marshalled, keys survive as generic JSON).
-func mergeInto(path string, rec servingRecord) error {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var doc map[string]any
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	var recAny any
-	b, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	if err := json.Unmarshal(b, &recAny); err != nil {
-		return err
-	}
-	serving, _ := doc["serving"].([]any)
-	doc["serving"] = append(serving, recAny)
-	return writeJSONFile(path, doc)
 }

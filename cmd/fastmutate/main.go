@@ -13,10 +13,9 @@
 // Usage:
 //
 //	fastmutate -url http://localhost:8080 -graph social -query q1 -batches 200 -rate 50
-//	fastmutate -graph social -seed 42 -base 200 -merge BENCH_pr8.json
+//	fastmutate -graph social -seed 42 -base 200 -json mutate.json
 //
-// -json writes the mutation record alone; -merge folds it into an existing
-// fastbench BENCH_*.json document under its "mutation" list.
+// -json writes the mutation record to a file.
 package main
 
 import (
@@ -81,7 +80,6 @@ func main() {
 		seed      = flag.Int64("seed", 42, "generator seed of the server's generated graph")
 		opSeed    = flag.Int64("opseed", 1, "randomized workload seed")
 		jsonOut   = flag.String("json", "", "write the mutation record to this file")
-		merge     = flag.String("merge", "", "fold the mutation record into this existing BENCH_*.json")
 	)
 	flag.Parse()
 	if *batches <= 0 {
@@ -224,13 +222,6 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	if *merge != "" {
-		if err := mergeInto(*merge, rec); err != nil {
-			fmt.Fprintln(os.Stderr, "fastmutate:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("merged mutation record into %s\n", *merge)
-	}
 	if rec.Errors > 0 {
 		os.Exit(1)
 	}
@@ -338,28 +329,4 @@ func writeJSONFile(path string, v any) error {
 		return err
 	}
 	return os.WriteFile(path, buf.Bytes(), 0o644)
-}
-
-// mergeInto appends rec to the "mutation" list of an existing fastbench
-// JSON document, preserving every other key.
-func mergeInto(path string, rec mutationRecord) error {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var doc map[string]any
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	var recAny any
-	b, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	if err := json.Unmarshal(b, &recAny); err != nil {
-		return err
-	}
-	mutation, _ := doc["mutation"].([]any)
-	doc["mutation"] = append(mutation, recAny)
-	return writeJSONFile(path, doc)
 }

@@ -608,3 +608,57 @@ func TestSubscribeRaceDrains(t *testing.T) {
 		t.Fatalf("post-swap epoch %d, want 0", st.Epoch)
 	}
 }
+
+// TestSubscribeEpochIsRegistrationEpoch: Epoch is the epoch the stream
+// starts after, so it must not follow the commits that come later — and a
+// handler reading it (handleSubscribe's "subscribed" line) must not race
+// the mutation path. Run under -race.
+func TestSubscribeEpochIsRegistrationEpoch(t *testing.T) {
+	gA, _ := routerTestGraphs()
+	r := NewRouter(RouterOptions{Workers: 2, Engine: engineTestOptions(2)})
+	if err := r.AddGraph("a", gA, nil); err != nil {
+		t.Fatal(err)
+	}
+	q, err := ldbc.QueryByName("q1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := r.Subscribe(context.Background(), "a", q, func(MatchDelta) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	want := sub.Epoch()
+
+	stop := make(chan struct{})
+	readerDone := make(chan struct{})
+	go func() {
+		defer close(readerDone)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if got := sub.Epoch(); got != want {
+				t.Errorf("Epoch moved to %d during deltas, want registration epoch %d", got, want)
+				return
+			}
+		}
+	}()
+
+	rng := rand.New(rand.NewSource(11))
+	mirror := gA
+	for i := 0; i < 10; i++ {
+		d := randomSingleBatch(rng, mirror)
+		mirror = deltaOracle(t, mirror, d)
+		if _, err := r.ApplyDelta("a", d); err != nil {
+			t.Fatalf("delta %d: %v", i, err)
+		}
+	}
+	close(stop)
+	<-readerDone
+	if got := sub.Epoch(); got != want {
+		t.Fatalf("Epoch = %d after 10 deltas, want registration epoch %d", got, want)
+	}
+}

@@ -98,8 +98,6 @@ type Result struct {
 	// BufferHighWater is the maximum partial-result count resident at any
 	// point; the deepest-first strategy bounds it by (|V(q)|−1)·No.
 	BufferHighWater int
-	// PerModule breaks Cycles down by module name.
-	PerModule map[string]int64
 }
 
 // Options configures a kernel run.
@@ -172,11 +170,9 @@ func Run(c *cst.CST, o order.Order, opts Options) (Result, error) {
 	if err := o.Validate(c.Tree); err != nil {
 		return Result{}, fmt.Errorf("core: %v", err)
 	}
-	nq := c.Query.NumVertices()
-
 	// Resource admission: the BRAM-only variants must fit the CST plus the
 	// partial-results buffer on chip (Section VI-B's buffer sizing).
-	bufferBytes := int64(nq-1) * int64(cfg.No) * int64(nq*4+4)
+	bufferBytes := cfg.BufferBytes(c.Query.NumVertices())
 	if opts.Variant != VariantDRAM {
 		if need := c.SizeBytes() + bufferBytes; need > cfg.BRAMBytes {
 			return Result{}, fmt.Errorf("core: CST (%d B) + buffer (%d B) exceed BRAM (%d B); partition the CST",
@@ -187,12 +183,11 @@ func Run(c *cst.CST, o order.Order, opts Options) (Result, error) {
 	}
 
 	run := &runState{
-		c:       c,
-		o:       o,
-		opts:    opts,
-		pos:     o.PositionOf(),
-		counter: fpgasim.NewCounter(),
-		timing:  newTiming(opts.Variant, cfg, c.MaxCandDegree()),
+		c:      c,
+		o:      o,
+		opts:   opts,
+		pos:    o.PositionOf(),
+		timing: newTiming(opts.Variant, cfg, c.MaxCandDegree()),
 	}
 	run.prepare()
 	res := run.execute()
@@ -241,8 +236,8 @@ type runState struct {
 	// mapBase[d] is where level d's mapping arena begins in scratch.maps;
 	// slot i of level d is maps[mapBase[d]+i*d : mapBase[d]+(i+1)*d].
 	mapBase []int
-	counter *fpgasim.Counter
 	timing  *timing
+	cycles  int64 // modelled cycles so far: load + Σ rounds + flush
 
 	count     int64
 	collected []graph.Embedding
@@ -439,7 +434,7 @@ func (r *runState) execute() Result {
 	var loadCycles int64
 	if r.opts.Variant != VariantDRAM {
 		loadCycles = cfg.LoadCycles(r.c.SizeBytes())
-		r.counter.Add("load", loadCycles)
+		r.cycles += loadCycles
 	}
 
 	for {
@@ -460,12 +455,12 @@ func (r *runState) execute() Result {
 	// Flush complete results from BRAM to card DRAM (4 bytes per mapped
 	// vertex id).
 	flushCycles := cfg.LoadCycles(r.count * int64(len(r.o)) * 4)
-	r.counter.Add("flush", flushCycles)
+	r.cycles += flushCycles
 
 	res := Result{
 		Count:           r.count,
 		Embeddings:      r.collected,
-		Cycles:          r.counter.Total(),
+		Cycles:          r.cycles,
 		LoadCycles:      loadCycles,
 		FlushCycles:     flushCycles,
 		Rounds:          r.rounds,
@@ -474,7 +469,6 @@ func (r *runState) execute() Result {
 		Pops:            r.pops,
 		Stopped:         r.stopped,
 		BufferHighWater: r.highWater,
-		PerModule:       r.counter.PerModule(),
 	}
 	res.Duration = cfg.CyclesToDuration(res.Cycles)
 	return res
@@ -658,7 +652,7 @@ func (r *runState) round(d int) {
 	r.partials += nPo
 	r.edgeTasks += nTn
 	r.pops += pops
-	r.timing.chargeRound(r.counter, pops, nPo, nTn, len(checkList))
+	r.cycles += r.timing.chargeRound(nPo, nTn, len(checkList))
 
 	if hw := r.resident(); hw > r.highWater {
 		r.highWater = hw

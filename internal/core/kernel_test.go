@@ -306,19 +306,3 @@ func TestEmptyCST(t *testing.T) {
 		t.Errorf("empty CST: count=%d rounds=%d", res.Count, res.Rounds)
 	}
 }
-
-// TestPerModuleBreakdown: the per-module breakdown must sum to the total.
-func TestPerModuleBreakdown(t *testing.T) {
-	c, o, _ := fig1Setup(t)
-	res, err := Run(c, o, Options{Variant: VariantTask, Config: fpgasim.DefaultConfig()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sum int64
-	for _, v := range res.PerModule {
-		sum += v
-	}
-	if sum != res.Cycles {
-		t.Errorf("per-module sum %d != total %d (%v)", sum, res.Cycles, res.PerModule)
-	}
-}

@@ -32,19 +32,18 @@ func Simulate(c *cst.CST, o order.Order, opts Options) (Result, error) {
 		return Result{}, fmt.Errorf("core: %v", err)
 	}
 	run := &runState{
-		c:       c,
-		o:       o,
-		opts:    opts,
-		pos:     o.PositionOf(),
-		counter: fpgasim.NewCounter(),
-		timing:  newTiming(opts.Variant, cfg, c.MaxCandDegree()),
+		c:      c,
+		o:      o,
+		opts:   opts,
+		pos:    o.PositionOf(),
+		timing: newTiming(opts.Variant, cfg, c.MaxCandDegree()),
 	}
 	run.prepare()
 
 	var loadCycles int64
 	if opts.Variant != VariantDRAM {
 		loadCycles = cfg.LoadCycles(c.SizeBytes())
-		run.counter.Add("load", loadCycles)
+		run.cycles += loadCycles
 	}
 	sim := &streamSim{runState: run}
 	for {
@@ -62,12 +61,12 @@ func Simulate(c *cst.CST, o order.Order, opts Options) (Result, error) {
 		}
 	}
 	flushCycles := cfg.LoadCycles(run.count * int64(len(o)) * 4)
-	run.counter.Add("flush", flushCycles)
+	run.cycles += flushCycles
 
 	res := Result{
 		Count:           run.count,
 		Embeddings:      run.collected,
-		Cycles:          run.counter.Total(),
+		Cycles:          run.cycles,
 		LoadCycles:      loadCycles,
 		FlushCycles:     flushCycles,
 		Rounds:          run.rounds,
@@ -76,7 +75,6 @@ func Simulate(c *cst.CST, o order.Order, opts Options) (Result, error) {
 		Pops:            run.pops,
 		Stopped:         run.stopped,
 		BufferHighWater: run.highWater,
-		PerModule:       run.counter.PerModule(),
 	}
 	res.Duration = cfg.CyclesToDuration(res.Cycles)
 	return res, nil
@@ -372,7 +370,7 @@ func (r *streamSim) simulateRound(d int) {
 	r.partials += nPo
 	r.edgeTasks += nTn
 	r.pops += pops
-	r.counter.Add("stream", now+cfg.RoundOverhead)
+	r.cycles += now + cfg.RoundOverhead
 	if hw := r.resident(); hw > r.highWater {
 		r.highWater = hw
 	}

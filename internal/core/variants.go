@@ -43,28 +43,27 @@ func newTiming(v Variant, cfg fpgasim.Config, maxCandDeg int) *timing {
 	}
 	return &timing{
 		variant: v,
-		read:    fpgasim.Module{Name: "read", Depth: cfg.DepthRead, II: 1},
-		gen:     fpgasim.Module{Name: "generator", Depth: cfg.DepthGen, II: genII},
-		visited: fpgasim.Module{Name: "visited-validator", Depth: cfg.DepthVisited, II: 1},
-		collect: fpgasim.Module{Name: "synchronizer", Depth: cfg.DepthCollect, II: 1},
-		tnGen:   fpgasim.Module{Name: "tn-generator", Depth: cfg.DepthTnGen, II: 1},
-		edge:    fpgasim.Module{Name: "edge-validator", Depth: cfg.DepthEdge, II: edgeII},
+		read:    fpgasim.Module{Depth: cfg.DepthRead, II: 1},
+		gen:     fpgasim.Module{Depth: cfg.DepthGen, II: genII},
+		visited: fpgasim.Module{Depth: cfg.DepthVisited, II: 1},
+		collect: fpgasim.Module{Depth: cfg.DepthCollect, II: 1},
+		tnGen:   fpgasim.Module{Depth: cfg.DepthTnGen, II: 1},
+		edge:    fpgasim.Module{Depth: cfg.DepthEdge, II: edgeII},
 		over:    cfg.RoundOverhead,
 	}
 }
 
-// chargeRound adds one round's cycles to the counter. knn is the number of
-// non-tree neighbours checked for the current vertex: the tn-generation
-// outer loop (Algorithm 5 lines 10–12) cannot be pipelined across
-// neighbours, so it restarts its fill depth knn times.
+// chargeRound returns one round's cycles under the variant's composition.
+// knn is the number of non-tree neighbours checked for the current vertex:
+// the tn-generation outer loop (Algorithm 5 lines 10–12) cannot be
+// pipelined across neighbours, so it restarts its fill depth knn times.
 //
 // The buffer-read module is charged per generated partial result (the
 // paper's L1·N term — each po requires reading its parent's state), not per
 // pop; this is what makes the closed forms come out as Eq. 2 = 4N+2M,
 // Eq. 3 = 2N+max(N,M) and Eq. 4 = N+max(N,M), with the exact ≤50% and
 // ≤33% optimisation caps.
-func (t *timing) chargeRound(counter *fpgasim.Counter, r, n, m int64, knn int) {
-	_ = r // pops are tracked in Result for reporting; timing follows N
+func (t *timing) chargeRound(n, m int64, knn int) int64 {
 	read := t.read.Cycles(n)
 	gen := t.gen.Cycles(n)
 	vis := t.visited.Cycles(n)
@@ -92,21 +91,5 @@ func (t *timing) chargeRound(counter *fpgasim.Counter, r, n, m int64, knn int) {
 			fpgasim.Concurrent(tng, edg, col),
 		)
 	}
-	total += t.over
-
-	// Attribute the round to the dominant module for the breakdown, and
-	// keep exact totals under the variant's composition.
-	counter.Add("rounds", t.over)
-	counter.Add(t.read.Name, read)
-	counter.Add(t.gen.Name, gen)
-	counter.Add(t.visited.Name, vis)
-	counter.Add(t.collect.Name, col)
-	counter.Add(t.tnGen.Name, tng)
-	counter.Add(t.edge.Name, edg)
-	// The counter now over-counts relative to the concurrent composition;
-	// subtract the overlap so Total matches the variant equation.
-	overlap := fpgasim.Serial(read, gen, vis, col, tng, edg) + t.over - total
-	if overlap > 0 {
-		counter.Add("(overlap)", -overlap)
-	}
+	return total + t.over
 }

@@ -153,12 +153,6 @@ func (c *CST) Adjacency(from, to graph.QueryVertex, i CandIndex) []CandIndex {
 	return c.Edge(from, to).Neighbors(i)
 }
 
-// HasCandEdge reports whether candidates i of `from` and j of `to` are
-// adjacent in the CST.
-func (c *CST) HasCandEdge(from, to graph.QueryVertex, i, j CandIndex) bool {
-	return c.Edge(from, to).Has(i, j)
-}
-
 // CandIndexOf returns the candidate index of data vertex v within C(u), or
 // -1 when v is not a candidate of u.
 func (c *CST) CandIndexOf(u graph.QueryVertex, v graph.VertexID) CandIndex {

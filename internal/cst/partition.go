@@ -35,16 +35,6 @@ func (cfg PartitionConfig) cancelled() bool {
 	return cfg.Cancel != nil && cfg.Cancel()
 }
 
-// DefaultPartitionConfig mirrors the Alveo U200 deployment: 35 MB of BRAM
-// (we budget half of it for the CST, the rest holds the partial-results
-// buffer) and 512 access ports.
-func DefaultPartitionConfig() PartitionConfig {
-	return PartitionConfig{
-		MaxSizeBytes:  16 << 20,
-		MaxCandDegree: 512,
-	}
-}
-
 // Fits reports whether c satisfies both thresholds.
 func (cfg PartitionConfig) Fits(c *CST) bool {
 	return c.SizeBytes() <= cfg.MaxSizeBytes && c.MaxCandDegree() <= cfg.MaxCandDegree

@@ -35,12 +35,11 @@ func runAblationNo(cfg Config) ([]Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		bufBytes := int64(c.Query.NumVertices()-1) * int64(no) * int64(c.Query.NumVertices()*4+4)
 		t.AddRow(fmt.Sprintf("%d", no),
 			fmt.Sprintf("%d", res.Cycles),
 			fmt.Sprintf("%d", res.Rounds),
 			fmt.Sprintf("%d", res.BufferHighWater),
-			fmt.Sprintf("%d", bufBytes))
+			fmt.Sprintf("%d", dev.BufferBytes(c.Query.NumVertices())))
 	}
 	return []Table{t}, nil
 }

@@ -8,7 +8,6 @@ import (
 
 	"fastmatch/graph"
 	"fastmatch/internal/core"
-	"fastmatch/internal/cst"
 	"fastmatch/internal/fpgasim"
 	"fastmatch/internal/host"
 	"fastmatch/ldbc"
@@ -85,18 +84,6 @@ func (c Config) device() fpgasim.Config {
 // variant and CPU share.
 func (c Config) hostConfig(v core.Variant, delta float64) host.Config {
 	return host.Config{Device: c.device(), Variant: v, Delta: delta}
-}
-
-// partitionConfig derives the partition thresholds from the scaled card,
-// mirroring host.Config.withDefaults for a query of nq vertices.
-func (c Config) partitionConfig(nq int) cst.PartitionConfig {
-	dev := c.device()
-	buffer := int64(nq-1) * int64(dev.No) * int64(nq*4+4)
-	size := dev.BRAMBytes - buffer
-	if size < 1024 {
-		size = 1024
-	}
-	return cst.PartitionConfig{MaxSizeBytes: size, MaxCandDegree: dev.PortMax}
 }
 
 // queries resolves the query filter against defaults.

@@ -57,7 +57,7 @@ func runFig8(cfg Config) ([]Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			pc := cfg.partitionConfig(c.Query.NumVertices())
+			pc := host.DefaultPartition(cfg.device(), c.Query.NumVertices())
 			pc.FixedK = k
 			start := time.Now()
 			totalParts += cst.Partition(c, o, pc, func(*cst.CST) {})
@@ -96,7 +96,7 @@ func runFig9(cfg Config) ([]Table, error) {
 			}
 			g, _ := cfg.dataset(ds)
 			var totalBytes int64
-			n := cst.Partition(c, o, cfg.partitionConfig(c.Query.NumVertices()), func(p *cst.CST) {
+			n := cst.Partition(c, o, host.DefaultPartition(cfg.device(), c.Query.NumVertices()), func(p *cst.CST) {
 				totalBytes += p.SizeBytes()
 			})
 			t.AddRow(q.Name(), ds, fmt.Sprintf("%d", n), pct(float64(totalBytes)/float64(g.SizeBytes())))

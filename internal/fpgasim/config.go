@@ -115,6 +115,13 @@ func (c Config) LoadCycles(bytes int64) int64 {
 	return (bytes + c.DRAMBurstBytes - 1) / c.DRAMBurstBytes
 }
 
+// BufferBytes is the on-chip size of the partial-results buffer for a query
+// of nq vertices (Section VI-B): (nq−1) levels of No slots, each holding nq
+// 4-byte mapped ids plus a 4-byte cursor.
+func (c Config) BufferBytes(nq int) int64 {
+	return int64(nq-1) * int64(c.No) * int64(nq*4+4)
+}
+
 // PCIeDuration is the host-side cost of shipping bytes to the card.
 func (c Config) PCIeDuration(bytes int64) time.Duration {
 	return time.Duration(float64(bytes) / (c.PCIeGBps * 1e9) * float64(time.Second))

@@ -20,10 +20,9 @@ var ErrDeviceFailed = errors.New("fpgasim: device failed")
 // healthy again on the next attempt.
 var ErrTransient = errors.New("fpgasim: transient device fault")
 
-// Device models one FPGA card: a cycle counter, a BRAM allocator and a DRAM
-// staging area. The host scheduler owns one Device per card (the multi-FPGA
-// extension of Section VII-E hands CSTs to the device with the least
-// accumulated work).
+// Device models one FPGA card: a cycle counter and a DRAM staging area. The
+// host scheduler owns one Device per card (the multi-FPGA extension of
+// Section VII-E hands CSTs to the device with the least accumulated work).
 //
 // A Device also models failure: Fail marks the card dead — every staging
 // call after that returns an error wrapping ErrDeviceFailed — and the
@@ -38,7 +37,6 @@ type Device struct {
 
 	cycles    int64
 	busy      time.Duration // accumulated kernel busy time
-	bramUsed  int64
 	dramUsed  int64
 	transfers int64 // bytes shipped over PCIe
 	kernels   int   // CST partitions processed
@@ -53,27 +51,6 @@ func NewDevice(id int, cfg Config) (*Device, error) {
 	}
 	return &Device{ID: id, Cfg: cfg}, nil
 }
-
-// AllocBRAM reserves on-chip memory, failing when the budget is exhausted —
-// exactly the condition CST partitioning exists to avoid.
-func (d *Device) AllocBRAM(bytes int64) error {
-	if d.bramUsed+bytes > d.Cfg.BRAMBytes {
-		return fmt.Errorf("fpgasim: BRAM overflow: %d + %d > %d", d.bramUsed, bytes, d.Cfg.BRAMBytes)
-	}
-	d.bramUsed += bytes
-	return nil
-}
-
-// FreeBRAM releases on-chip memory.
-func (d *Device) FreeBRAM(bytes int64) {
-	d.bramUsed -= bytes
-	if d.bramUsed < 0 {
-		d.bramUsed = 0
-	}
-}
-
-// BRAMUsed returns current on-chip occupancy.
-func (d *Device) BRAMUsed() int64 { return d.bramUsed }
 
 // StageDRAM accounts a CST partition arriving in card DRAM over PCIe and
 // returns the host-side transfer duration. A dead card fails with an error
@@ -152,12 +129,6 @@ func (d *Device) Cycles() int64 { return d.cycles }
 
 // Busy returns the device's accumulated busy time.
 func (d *Device) Busy() time.Duration { return d.busy }
-
-// Kernels returns how many CST partitions this device has processed.
-func (d *Device) Kernels() int { return d.kernels }
-
-// TransferredBytes returns the total PCIe traffic.
-func (d *Device) TransferredBytes() int64 { return d.transfers }
 
 // String summarises the device state.
 func (d *Device) String() string {

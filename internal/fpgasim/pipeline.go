@@ -6,7 +6,6 @@ package fpgasim
 // DRAM latency when they do not (the FAST-DRAM variant) or when an edge
 // probe exceeds the port budget.
 type Module struct {
-	Name  string
 	Depth int64
 	II    int64
 }
@@ -41,34 +40,4 @@ func Concurrent(cycles ...int64) int64 {
 		}
 	}
 	return max
-}
-
-// Counter accumulates cycles per named module so reports can show where
-// time went.
-type Counter struct {
-	total     int64
-	perModule map[string]int64
-}
-
-// NewCounter returns an empty Counter.
-func NewCounter() *Counter {
-	return &Counter{perModule: make(map[string]int64)}
-}
-
-// Add charges cycles to a module name and the total.
-func (c *Counter) Add(module string, cycles int64) {
-	c.perModule[module] += cycles
-	c.total += cycles
-}
-
-// Total returns the accumulated cycle count.
-func (c *Counter) Total() int64 { return c.total }
-
-// PerModule returns a copy of the per-module breakdown.
-func (c *Counter) PerModule() map[string]int64 {
-	out := make(map[string]int64, len(c.perModule))
-	for k, v := range c.perModule {
-		out[k] = v
-	}
-	return out
 }

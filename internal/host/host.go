@@ -164,17 +164,26 @@ func (c Config) withDefaults(q *graph.Query) Config {
 	if c.Strategy == "" {
 		c.Strategy = OrderPath
 	}
+	def := DefaultPartition(c.Device, q.NumVertices())
 	if c.Partition.MaxSizeBytes == 0 {
-		buffer := int64(q.NumVertices()-1) * int64(c.Device.No) * int64(q.NumVertices()*4+4)
-		c.Partition.MaxSizeBytes = c.Device.BRAMBytes - buffer
-		if c.Partition.MaxSizeBytes < 1024 {
-			c.Partition.MaxSizeBytes = 1024
-		}
+		c.Partition.MaxSizeBytes = def.MaxSizeBytes
 	}
 	if c.Partition.MaxCandDegree == 0 {
-		c.Partition.MaxCandDegree = c.Device.PortMax
+		c.Partition.MaxCandDegree = def.MaxCandDegree
 	}
 	return c
+}
+
+// DefaultPartition derives the partition thresholds of Section V-B from the
+// card for a query of nq vertices: δS is the BRAM left once the
+// partial-results buffer is placed (floored at 1 KiB for a card smaller
+// than its buffer), δD the port budget.
+func DefaultPartition(dev fpgasim.Config, nq int) cst.PartitionConfig {
+	size := dev.BRAMBytes - dev.BufferBytes(nq)
+	if size < 1024 {
+		size = 1024
+	}
+	return cst.PartitionConfig{MaxSizeBytes: size, MaxCandDegree: dev.PortMax}
 }
 
 // kernelScratch pools core.Scratch values across kernel runs — and across

@@ -60,12 +60,8 @@ func TestBFSTreeStructure(t *testing.T) {
 	if len(nn) != 1 || nn[0] != 2 {
 		t.Errorf("NonTreeNeighbors(1) = %v", nn)
 	}
-	leaves := tr.Leaves()
-	if len(leaves) != 2 { // u1 and u3
-		t.Errorf("Leaves = %v", leaves)
-	}
 	paths := tr.RootToLeafPaths()
-	if len(paths) != 2 {
+	if len(paths) != 2 { // one per leaf: u1 and u3
 		t.Errorf("RootToLeafPaths = %v", paths)
 	}
 	for _, p := range paths {

@@ -93,17 +93,6 @@ func (t *Tree) NonTreeNeighbors(u graph.QueryVertex) []graph.QueryVertex {
 	return out
 }
 
-// Leaves returns the tree's leaf vertices in BFS order.
-func (t *Tree) Leaves() []graph.QueryVertex {
-	var out []graph.QueryVertex
-	for _, u := range t.BFSOrder {
-		if len(t.Children[u]) == 0 {
-			out = append(out, u)
-		}
-	}
-	return out
-}
-
 // RootToLeafPaths returns every root-to-leaf path of the tree, each path
 // starting at the root.
 func (t *Tree) RootToLeafPaths() [][]graph.QueryVertex {

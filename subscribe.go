@@ -38,7 +38,7 @@ type Subscription struct {
 	id    int64
 	graph string
 	query *graph.Query
-	epoch uint64 // epoch of the current cst; mutation-side state under ent.mutMu
+	epoch uint64 // registration epoch; written once in Subscribe, so Epoch reads it unlocked
 
 	// Matching state owned by the mutation path (Subscribe and notify both
 	// run under ent.mutMu): the plan is fixed at registration, the CST
@@ -155,7 +155,6 @@ func (s *Subscription) notify(g2 *graph.Graph, touched []graph.VertexID, workers
 	affOld := cst.CollectAffected(s.cst, s.ord, dirty)
 	affNew := cst.CollectAffected(newCST, s.ord, dirty)
 	s.cst = newCST
-	s.epoch = g2.Epoch()
 
 	oldKeys := make(map[string]bool, len(affOld))
 	for _, em := range affOld {
