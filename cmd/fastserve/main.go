@@ -45,6 +45,17 @@ import (
 	"fastmatch/ldbc"
 )
 
+// Connection timeouts. A client gets readHeaderTimeout to send its request
+// headers and an idle keep-alive connection is closed after idleTimeout, so
+// a slow or silent client cannot hold a connection open forever. There is
+// deliberately no ReadTimeout or WriteTimeout: both would bound a whole
+// exchange, cutting off large graph uploads, NDJSON match streams and
+// standing subscriptions.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	var (
 		addr     = flag.String("addr", ":8080", "listen address")
@@ -101,7 +112,12 @@ func main() {
 	}
 
 	server := fast.NewServer(router, fast.ServerOptions{QueryByName: ldbc.QueryByName})
-	httpSrv := &http.Server{Addr: *addr, Handler: server}
+	httpSrv := &http.Server{
+		Addr:              *addr,
+		Handler:           server,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 
 	// Graceful drain on SIGINT/SIGTERM: stop accepting, let the fast.Server
 	// refuse new work and finish what is in flight, then exit. A second

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -250,7 +251,18 @@ func WriteBinary(w io.Writer, g *Graph) error {
 	return bw.Flush()
 }
 
-// ReadBinary parses the binary format written by WriteBinary.
+// Header bounds for ReadBinary: vertex ids are uint32 and labels uint16, so
+// no valid graph declares more, and a simple graph on n vertices has at most
+// n(n−1) half-edges (which cannot overflow a uint64 under this vertex bound).
+const (
+	maxBinaryVertices = math.MaxUint32
+	maxBinaryLabels   = 1 << 16
+)
+
+// ReadBinary parses the binary format written by WriteBinary. The header's
+// sizes are untrusted: each is range-checked, and every array is read in
+// bounded chunks, so what ReadBinary allocates follows the bytes actually
+// received rather than the sizes a header declares.
 func ReadBinary(r io.Reader) (*Graph, error) {
 	magic := make([]byte, 4)
 	if _, err := io.ReadFull(r, magic); err != nil {
@@ -265,42 +277,38 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 			return nil, err
 		}
 	}
+	switch {
+	case hdr[0] > maxBinaryVertices:
+		return nil, fmt.Errorf("graph io: header declares %d vertices (max %d)", hdr[0], uint64(maxBinaryVertices))
+	case hdr[1] > hdr[0]*(hdr[0]-1):
+		return nil, fmt.Errorf("graph io: header declares %d half-edges for %d vertices", hdr[1], hdr[0])
+	case hdr[2] > maxBinaryLabels:
+		return nil, fmt.Errorf("graph io: header declares %d labels (max %d)", hdr[2], maxBinaryLabels)
+	}
 	n, nn, numLabels := int(hdr[0]), int(hdr[1]), int(hdr[2])
-	g := &Graph{
-		labels:    make([]Label, n),
-		offsets:   make([]int64, n+1),
-		neighbors: make([]VertexID, nn),
-		numLabels: numLabels,
-	}
-	if err := binary.Read(r, binary.LittleEndian, &g.labels); err != nil {
+	g := &Graph{numLabels: numLabels}
+	var err error
+	if g.labels, err = readChunked[Label](r, n); err != nil {
 		return nil, err
 	}
-	if err := binary.Read(r, binary.LittleEndian, &g.offsets); err != nil {
+	if g.offsets, err = readChunked[int64](r, n+1); err != nil {
 		return nil, err
 	}
-	if err := binary.Read(r, binary.LittleEndian, &g.neighbors); err != nil {
+	if g.neighbors, err = readChunked[VertexID](r, nn); err != nil {
 		return nil, err
 	}
 	if string(magic) == binMagic2 {
-		g.edgeLabels = make([]EdgeLabel, nn)
-		if err := binary.Read(r, binary.LittleEndian, &g.edgeLabels); err != nil {
+		if g.edgeLabels, err = readChunked[EdgeLabel](r, nn); err != nil {
 			return nil, err
 		}
 	}
-	g.byLabel = make([][]VertexID, numLabels)
-	for v, l := range g.labels {
+	// Corrupt labels, offsets or out-of-range neighbours must fail before
+	// the label index walks the adjacency.
+	for _, l := range g.labels {
 		if int(l) >= numLabels {
 			return nil, fmt.Errorf("graph io: label %d out of range (numLabels=%d)", l, numLabels)
 		}
-		g.byLabel[l] = append(g.byLabel[l], VertexID(v))
 	}
-	for v := 0; v < n; v++ {
-		if d := g.Degree(VertexID(v)); d > g.maxDegree {
-			g.maxDegree = d
-		}
-	}
-	// Corrupt offsets or out-of-range neighbours must fail before the label
-	// index walks the adjacency.
 	if g.offsets[0] != 0 || g.offsets[n] != int64(nn) {
 		return nil, fmt.Errorf("graph io: corrupt binary graph: offsets endpoints [%d,%d]", g.offsets[0], g.offsets[n])
 	}
@@ -314,9 +322,40 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 			return nil, fmt.Errorf("graph io: corrupt binary graph: neighbour %d out of range (n=%d)", w, n)
 		}
 	}
+	g.byLabel = make([][]VertexID, numLabels)
+	for v, l := range g.labels {
+		g.byLabel[l] = append(g.byLabel[l], VertexID(v))
+	}
+	for v := 0; v < n; v++ {
+		if d := g.Degree(VertexID(v)); d > g.maxDegree {
+			g.maxDegree = d
+		}
+	}
 	g.buildLabelIndex()
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("graph io: corrupt binary graph: %v", err)
 	}
 	return g, nil
+}
+
+// readChunked reads n little-endian values of T. It reads at most
+// readChunk values at a time and grows the slice geometrically up to n, so
+// a stream that ends early fails having allocated about twice what it
+// delivered, and a complete one ends with capacity exactly n.
+func readChunked[T Label | VertexID | int64](r io.Reader, n int) ([]T, error) {
+	const readChunk = 1 << 16
+	out := make([]T, 0, min(n, readChunk))
+	for len(out) < n {
+		if len(out) == cap(out) {
+			grown := make([]T, len(out), min(n, 2*cap(out)))
+			copy(grown, out)
+			out = grown
+		}
+		k := min(cap(out)-len(out), readChunk)
+		if err := binary.Read(r, binary.LittleEndian, out[len(out):len(out)+k]); err != nil {
+			return nil, err
+		}
+		out = out[:len(out)+k]
+	}
+	return out, nil
 }

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-func edgeLabeledSample(t *testing.T) *Graph {
+func edgeLabeledSample(t testing.TB) *Graph {
 	t.Helper()
 	b := NewBuilder(4, 4)
 	b.AddVertex(0)

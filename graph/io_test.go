@@ -2,7 +2,10 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -101,6 +104,79 @@ func TestReadBinaryRejectsGarbage(t *testing.T) {
 	if _, err := ReadBinary(bytes.NewReader([]byte("FGB1"))); err == nil {
 		t.Error("accepted truncated header")
 	}
+}
+
+// binaryHeader is a bare FGB1 header (magic, n, half-edges, labels) with
+// no body: the smallest input that asks ReadBinary to size its arrays.
+func binaryHeader(n, nn, numLabels uint64) []byte {
+	b := []byte(binMagic)
+	for _, x := range []uint64{n, nn, numLabels} {
+		b = binary.LittleEndian.AppendUint64(b, x)
+	}
+	return b
+}
+
+// TestReadBinaryBoundsHeaderAllocation: a 28-byte body declaring a huge
+// graph fails without the decoder allocating what the header asks for —
+// out-of-range sizes before any allocation, in-range ones after reading at
+// most a chunk of the missing body — and a header that would turn negative
+// as an int errors instead of panicking in make.
+func TestReadBinaryBoundsHeaderAllocation(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		hdr  []byte
+	}{
+		{"2^40 vertices", binaryHeader(1<<40, 0, 1)},
+		{"2^32-1 vertices", binaryHeader(math.MaxUint32, 0, 1)},
+		{"2^32-1 vertices, 2^40 half-edges", binaryHeader(math.MaxUint32, 1<<40, 1)},
+		{"2^63 vertices", binaryHeader(1<<63, 0, 1)},
+		{"2^63 half-edges", binaryHeader(4, 1<<63, 1)},
+		{"2^64-1 labels", binaryHeader(4, 0, math.MaxUint64)},
+	} {
+		if len(tc.hdr) != 28 {
+			t.Fatalf("%s: header is %d bytes, want 28", tc.name, len(tc.hdr))
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadBinary(bytes.NewReader(tc.hdr))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: accepted a header with no body", tc.name)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+			t.Errorf("%s: TotalAlloc grew by %d B, want < 1 MiB", tc.name, grew)
+		}
+	}
+}
+
+// FuzzReadBinary: ReadBinary never panics, and whatever it accepts is a
+// graph that re-encodes to the bytes it was decoded from.
+func FuzzReadBinary(f *testing.F) {
+	for _, g := range []*Graph{
+		RandomUniform(GenConfig{NumVertices: 12, NumLabels: 3, AvgDegree: 3, Seed: 1}),
+		RandomPowerLaw(GenConfig{NumVertices: 20, NumLabels: 2, AvgDegree: 4, Seed: 2}),
+		edgeLabeledSample(f),
+	} {
+		var buf bytes.Buffer
+		if err := WriteBinary(&buf, g); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Add(binaryHeader(1<<40, 0, 1))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, err := ReadBinary(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteBinary(&buf, g); err != nil {
+			t.Fatalf("WriteBinary of a decoded graph: %v", err)
+		}
+		if !bytes.HasPrefix(data, buf.Bytes()) {
+			t.Fatalf("decoded graph re-encodes to %d bytes that are not a prefix of the %d-byte input", buf.Len(), len(data))
+		}
+	})
 }
 
 func TestSaveLoadFile(t *testing.T) {

@@ -5,7 +5,7 @@ import "fastmatch/internal/cst"
 // Edge-validation strategies. The kernel's batch rounds probe "is candidate
 // ci of O[d] CST-adjacent to the mapped candidate mj of an earlier
 // neighbour?" for every generated partial. Run replaces the per-probe binary
-// search (Adj.Has, still the oracle Simulate and the property tests use)
+// search (Adj.Has, still the oracle the property tests use)
 // with one of two membership structures over the *reverse* adjacency view
 // Edge(un → u) — by the CST's mirror invariant, ci ∈ N^u_un reverse-maps to
 // exactly the same verdict — selected once per check slot at prepare time

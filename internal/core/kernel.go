@@ -10,14 +10,15 @@
 // paper's ablation: FAST-DRAM (CST stays in DRAM), FAST-BASIC (BRAM, serial
 // modules, Eq. 2), FAST-TASK (task parallelism via FIFOs, Eq. 3) and
 // FAST-SEP (split tv/tn generators, Eq. 4). All variants return identical
-// embedding sets; only the cycle accounting differs.
+// embedding sets; a variant is only a timing policy (variants.go): where the
+// CST lives, and how one round's module costs compose.
 //
 // Run's edge validation picks an intersection strategy per check slot at
 // prepare time — a monotone galloping cursor over the reverse CSR adjacency
 // list by default, or a lazily marked candidate bitset (the software
 // analogue of the paper's BRAM bitmaps) for high-degree slots; see
-// intersect.go for the selection rule. Simulate keeps the plain binary
-// search, which also serves as the oracle for the strategy property tests.
+// intersect.go for the selection rule. cst.Adj.Has, a plain binary search,
+// is the oracle for the strategy property tests.
 package core
 
 import (
@@ -29,45 +30,6 @@ import (
 	"fastmatch/internal/fpgasim"
 	"fastmatch/internal/order"
 )
-
-// Variant selects the hardware implementation being modelled.
-type Variant int
-
-const (
-	// VariantSep is the zero value and the default: task parallelism plus
-	// split tv/tn generators feeding duplicated FIFOs (Fig. 5(c), Eq. 4) —
-	// the paper's final kernel configuration.
-	VariantSep Variant = iota
-	// VariantDRAM fetches the CST from card DRAM on every access, with no
-	// other optimisation (the FAST-DRAM baseline of Fig. 7).
-	VariantDRAM
-	// VariantBasic loads the CST into BRAM and runs the modules serially
-	// (Fig. 5(a), Eq. 2).
-	VariantBasic
-	// VariantTask adds task parallelism: modules stream through FIFOs and
-	// execute concurrently (Fig. 5(b), Eq. 3).
-	VariantTask
-)
-
-// String names the variant the way the paper does.
-func (v Variant) String() string {
-	switch v {
-	case VariantDRAM:
-		return "FAST-DRAM"
-	case VariantBasic:
-		return "FAST-BASIC"
-	case VariantTask:
-		return "FAST-TASK"
-	case VariantSep:
-		return "FAST-SEP"
-	}
-	return fmt.Sprintf("Variant(%d)", int(v))
-}
-
-// Variants lists all kernel variants in ascending optimisation order.
-func Variants() []Variant {
-	return []Variant{VariantDRAM, VariantBasic, VariantTask, VariantSep}
-}
 
 // Result reports one kernel execution over one CST partition.
 type Result struct {
@@ -170,16 +132,9 @@ func Run(c *cst.CST, o order.Order, opts Options) (Result, error) {
 	if err := o.Validate(c.Tree); err != nil {
 		return Result{}, fmt.Errorf("core: %v", err)
 	}
-	// Resource admission: the BRAM-only variants must fit the CST plus the
-	// partial-results buffer on chip (Section VI-B's buffer sizing).
-	bufferBytes := cfg.BufferBytes(c.Query.NumVertices())
-	if opts.Variant != VariantDRAM {
-		if need := c.SizeBytes() + bufferBytes; need > cfg.BRAMBytes {
-			return Result{}, fmt.Errorf("core: CST (%d B) + buffer (%d B) exceed BRAM (%d B); partition the CST",
-				c.SizeBytes(), bufferBytes, cfg.BRAMBytes)
-		}
-	} else if bufferBytes > cfg.BRAMBytes {
-		return Result{}, fmt.Errorf("core: partial-results buffer (%d B) exceeds BRAM (%d B); lower No", bufferBytes, cfg.BRAMBytes)
+	tm := newTiming(opts.Variant, cfg, c.MaxCandDegree())
+	if err := tm.admit(cfg, c.SizeBytes(), c.Query.NumVertices()); err != nil {
+		return Result{}, err
 	}
 
 	run := &runState{
@@ -187,7 +142,7 @@ func Run(c *cst.CST, o order.Order, opts Options) (Result, error) {
 		o:      o,
 		opts:   opts,
 		pos:    o.PositionOf(),
-		timing: newTiming(opts.Variant, cfg, c.MaxCandDegree()),
+		timing: tm,
 	}
 	run.prepare()
 	res := run.execute()
@@ -431,11 +386,8 @@ func (r *runState) candidatesOf(d int, p *partial) []cst.CandIndex {
 // round at the deepest non-empty level.
 func (r *runState) execute() Result {
 	cfg := r.opts.Config
-	var loadCycles int64
-	if r.opts.Variant != VariantDRAM {
-		loadCycles = cfg.LoadCycles(r.c.SizeBytes())
-		r.cycles += loadCycles
-	}
+	loadCycles := r.timing.loadCycles(cfg, r.c.SizeBytes())
+	r.cycles += loadCycles
 
 	for {
 		if r.cancelled() {

@@ -185,6 +185,42 @@ func TestImprovementCaps(t *testing.T) {
 	}
 }
 
+// TestKernelCyclesTrackEquations: measured cycles follow the paper's closed
+// forms, evaluated with the run's own N (Partials) and M (EdgeTasks) —
+// Eq. 2 = 4N+2M (BASIC), Eq. 3 = 2N+max(N,M) (TASK), Eq. 4 = N+max(N,M)
+// (SEP). The equations are a floor: pipeline fill, round overhead, the CST
+// load and the result flush only add, and on a workload of a few rounds
+// they add at most a few percent.
+func TestKernelCyclesTrackEquations(t *testing.T) {
+	g := graph.RandomPowerLaw(graph.GenConfig{NumVertices: 1200, NumLabels: 3, AvgDegree: 6, Seed: 31})
+	rng := rand.New(rand.NewSource(31))
+	q := graph.RandomConnectedQuery("rq", 4, 2, 3, rng)
+	tr := order.BuildBFSTree(q, order.SelectRoot(q, g))
+	c := cst.Build(q, g, tr)
+	o := order.PathBased(tr, c)
+	equations := map[Variant]func(n, m int64) int64{
+		VariantBasic: func(n, m int64) int64 { return 4*n + 2*m },
+		VariantTask:  func(n, m int64) int64 { return 2*n + max(n, m) },
+		VariantSep:   func(n, m int64) int64 { return n + max(n, m) },
+	}
+	for _, v := range []Variant{VariantBasic, VariantTask, VariantSep} {
+		res, err := Run(c, o, Options{Variant: v, Config: fpgasim.DefaultConfig()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Partials == 0 || res.EdgeTasks == 0 {
+			t.Fatalf("%v: fixture too small: N=%d M=%d", v, res.Partials, res.EdgeTasks)
+		}
+		eq := equations[v](res.Partials, res.EdgeTasks)
+		ratio := float64(res.Cycles) / float64(eq)
+		t.Logf("%v: N=%d M=%d rounds=%d cycles=%d eq=%d cycles/eq=%.4f",
+			v, res.Partials, res.EdgeTasks, res.Rounds, res.Cycles, eq, ratio)
+		if ratio < 1.0 || ratio > 1.06 {
+			t.Errorf("%v: cycles/eq %.4f outside [1.0, 1.06]", v, ratio)
+		}
+	}
+}
+
 // TestDRAMPenalty: on a non-trivial workload the DRAM variant must be
 // several times slower than BASIC — the Fig. 7 effect (≈5× in the paper).
 func TestDRAMPenalty(t *testing.T) {

@@ -1,8 +1,49 @@
 package core
 
 import (
+	"fmt"
+
 	"fastmatch/internal/fpgasim"
 )
+
+// Variant selects the hardware implementation being modelled.
+type Variant int
+
+const (
+	// VariantSep is the zero value and the default: task parallelism plus
+	// split tv/tn generators feeding duplicated FIFOs (Fig. 5(c), Eq. 4) —
+	// the paper's final kernel configuration.
+	VariantSep Variant = iota
+	// VariantDRAM fetches the CST from card DRAM on every access, with no
+	// other optimisation (the FAST-DRAM baseline of Fig. 7).
+	VariantDRAM
+	// VariantBasic loads the CST into BRAM and runs the modules serially
+	// (Fig. 5(a), Eq. 2).
+	VariantBasic
+	// VariantTask adds task parallelism: modules stream through FIFOs and
+	// execute concurrently (Fig. 5(b), Eq. 3).
+	VariantTask
+)
+
+// String names the variant the way the paper does.
+func (v Variant) String() string {
+	switch v {
+	case VariantDRAM:
+		return "FAST-DRAM"
+	case VariantBasic:
+		return "FAST-BASIC"
+	case VariantTask:
+		return "FAST-TASK"
+	case VariantSep:
+		return "FAST-SEP"
+	}
+	return fmt.Sprintf("Variant(%d)", int(v))
+}
+
+// Variants lists all kernel variants in ascending optimisation order.
+func Variants() []Variant {
+	return []Variant{VariantDRAM, VariantBasic, VariantTask, VariantSep}
+}
 
 // timing charges the per-round cycle cost of each variant, following the
 // cycle analysis of Section VI-B/C/D. With r buffer pops, n new partial
@@ -21,13 +62,16 @@ import (
 // BASIC and SEP's ≤33% gain over TASK, the caps the paper derives.
 type timing struct {
 	variant Variant
-	read    fpgasim.Module
-	gen     fpgasim.Module
-	visited fpgasim.Module
-	collect fpgasim.Module
-	tnGen   fpgasim.Module
-	edge    fpgasim.Module
-	over    int64
+	// bramResident is whether the CST is loaded into BRAM before the first
+	// round: every variant but FAST-DRAM, which reads it from DRAM instead.
+	bramResident bool
+	read         fpgasim.Module
+	gen          fpgasim.Module
+	visited      fpgasim.Module
+	collect      fpgasim.Module
+	tnGen        fpgasim.Module
+	edge         fpgasim.Module
+	over         int64
 }
 
 // newTiming derives module parameters from the device configuration. The
@@ -35,22 +79,49 @@ type timing struct {
 // depend on where the CST lives: BRAM (II = 1, or ⌈D_CST/PortMax⌉ for
 // over-long adjacency lists) versus DRAM (II = DRAM latency).
 func newTiming(v Variant, cfg fpgasim.Config, maxCandDeg int) *timing {
-	genII := int64(cfg.BRAMLatency)
-	edgeII := cfg.EdgeProbeII(maxCandDeg) * int64(cfg.BRAMLatency)
-	if v == VariantDRAM {
-		genII = int64(cfg.DRAMLatency)
-		edgeII = cfg.EdgeProbeII(maxCandDeg) * int64(cfg.DRAMLatency)
+	bramResident := v != VariantDRAM
+	latency := int64(cfg.DRAMLatency)
+	if bramResident {
+		latency = int64(cfg.BRAMLatency)
 	}
 	return &timing{
-		variant: v,
-		read:    fpgasim.Module{Depth: cfg.DepthRead, II: 1},
-		gen:     fpgasim.Module{Depth: cfg.DepthGen, II: genII},
-		visited: fpgasim.Module{Depth: cfg.DepthVisited, II: 1},
-		collect: fpgasim.Module{Depth: cfg.DepthCollect, II: 1},
-		tnGen:   fpgasim.Module{Depth: cfg.DepthTnGen, II: 1},
-		edge:    fpgasim.Module{Depth: cfg.DepthEdge, II: edgeII},
-		over:    cfg.RoundOverhead,
+		variant:      v,
+		bramResident: bramResident,
+		read:         fpgasim.Module{Depth: cfg.DepthRead, II: 1},
+		gen:          fpgasim.Module{Depth: cfg.DepthGen, II: latency},
+		visited:      fpgasim.Module{Depth: cfg.DepthVisited, II: 1},
+		collect:      fpgasim.Module{Depth: cfg.DepthCollect, II: 1},
+		tnGen:        fpgasim.Module{Depth: cfg.DepthTnGen, II: 1},
+		edge:         fpgasim.Module{Depth: cfg.DepthEdge, II: cfg.EdgeProbeII(maxCandDeg) * latency},
+		over:         cfg.RoundOverhead,
 	}
+}
+
+// admit is the on-chip resource check (Section VI-B's buffer sizing): a
+// BRAM-resident CST must fit beside the partial-results buffer of an
+// nq-vertex query; otherwise only the buffer must fit.
+func (t *timing) admit(cfg fpgasim.Config, cstBytes int64, nq int) error {
+	bufferBytes := cfg.BufferBytes(nq)
+	if !t.bramResident {
+		if bufferBytes > cfg.BRAMBytes {
+			return fmt.Errorf("core: partial-results buffer (%d B) exceeds BRAM (%d B); lower No", bufferBytes, cfg.BRAMBytes)
+		}
+		return nil
+	}
+	if cstBytes+bufferBytes > cfg.BRAMBytes {
+		return fmt.Errorf("core: CST (%d B) + buffer (%d B) exceed BRAM (%d B); partition the CST",
+			cstBytes, bufferBytes, cfg.BRAMBytes)
+	}
+	return nil
+}
+
+// loadCycles is the initial DRAM→BRAM burst of a cstBytes partition, which
+// a CST left in DRAM never pays.
+func (t *timing) loadCycles(cfg fpgasim.Config, cstBytes int64) int64 {
+	if !t.bramResident {
+		return 0
+	}
+	return cfg.LoadCycles(cstBytes)
 }
 
 // chargeRound returns one round's cycles under the variant's composition.

@@ -24,78 +24,6 @@ const (
 	classMustClean
 )
 
-// affectedEnum drives one constrained backtracking pass over an
-// Enumerator's prepared hoists (candAt/parentAdj/check views), adding only
-// the per-query-vertex class filter. It deliberately does not touch
-// Enumerator.rec — the static hot path keeps its alloc-gated shape.
-type affectedEnum struct {
-	e       *Enumerator
-	class   []int8 // per query vertex
-	dirty   func(graph.VertexID) bool
-	emit    func(graph.Embedding) bool
-	count   int64
-	stopped bool
-}
-
-func (a *affectedEnum) rec(depth int) {
-	e := a.e
-	if depth == e.n {
-		a.count++
-		if a.emit != nil {
-			em := make(graph.Embedding, e.n)
-			for d, u := range e.o {
-				em[u] = e.mVert[d]
-			}
-			if !a.emit(em) {
-				a.stopped = true
-			}
-		}
-		return
-	}
-	cand := e.candAt[depth]
-	cl := a.class[e.o[depth]]
-	if depth == 0 {
-		for ci := CandIndex(0); int(ci) < len(cand); ci++ {
-			v := cand[ci]
-			if (cl == classMustDirty && !a.dirty(v)) || (cl == classMustClean && a.dirty(v)) {
-				continue
-			}
-			e.mIdx[0] = ci
-			e.mVert[0] = v
-			a.rec(1)
-			if a.stopped {
-				return
-			}
-		}
-		return
-	}
-	cands := e.parentAdj[depth].Neighbors(e.mIdx[e.parentPos[depth]])
-	chkLo, chkHi := e.checkOff[depth], e.checkOff[depth+1]
-next:
-	for _, ci := range cands {
-		v := cand[ci]
-		if (cl == classMustDirty && !a.dirty(v)) || (cl == classMustClean && a.dirty(v)) {
-			continue
-		}
-		for d := 0; d < depth; d++ { // visited validation
-			if e.mVert[d] == v {
-				continue next
-			}
-		}
-		for k := chkLo; k < chkHi; k++ { // edge validation
-			if !e.checkAdj[k].Has(ci, e.mIdx[e.checkPos[k]]) {
-				continue next
-			}
-		}
-		e.mIdx[depth] = ci
-		e.mVert[depth] = v
-		a.rec(depth + 1)
-		if a.stopped {
-			return
-		}
-	}
-}
-
 // EnumerateAffected invokes emit for every embedding in c that maps at
 // least one query vertex to a vertex dirty reports true for, exactly once
 // each, and returns how many it found. A pass is skipped outright when u0's
@@ -104,13 +32,25 @@ next:
 // and no backtracking. Emit may return false to stop early (the refusing
 // embedding still counts, matching Enumerate). A nil emit counts only.
 func EnumerateAffected(c *CST, o order.Order, dirty func(graph.VertexID) bool, emit func(graph.Embedding) bool) int64 {
+	var e Enumerator
+	e.Reset(c, o)
+	return e.runAffected(dirty, emit)
+}
+
+// runAffected runs EnumerateAffected's u0 passes on e, which must be Reset
+// to the CST and order; it leaves the filter off, so e can go straight back
+// to the static path.
+func (e *Enumerator) runAffected(dirty func(graph.VertexID) bool, emit func(graph.Embedding) bool) int64 {
+	c := e.c
 	if c.IsEmpty() {
 		return 0
 	}
-	n := c.Query.NumVertices()
-	var e Enumerator
-	e.Reset(c, o)
-	a := affectedEnum{e: &e, class: make([]int8, n), dirty: dirty, emit: emit}
+	n := e.n
+	if cap(e.class) < n {
+		e.class = make([]int8, n)
+	}
+	e.class = e.class[:n]
+	e.dirty = dirty
 	var total int64
 	for u0 := 0; u0 < n; u0++ {
 		anyDirty := false
@@ -124,22 +64,21 @@ func EnumerateAffected(c *CST, o order.Order, dirty func(graph.VertexID) bool, e
 			continue
 		}
 		for u := 0; u < n; u++ {
-			switch {
+			switch d := e.posBuf[u]; {
 			case u < u0:
-				a.class[u] = classMustClean
+				e.class[d] = classMustClean
 			case u == u0:
-				a.class[u] = classMustDirty
+				e.class[d] = classMustDirty
 			default:
-				a.class[u] = classFree
+				e.class[d] = classFree
 			}
 		}
-		a.count = 0
-		a.rec(0)
-		total += a.count
-		if a.stopped {
+		total += e.Run(emit)
+		if e.stopped {
 			break
 		}
 	}
+	e.dirty = nil
 	return total
 }
 

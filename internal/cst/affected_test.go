@@ -2,6 +2,7 @@ package cst
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"fastmatch/graph"
@@ -128,5 +129,60 @@ func TestAffectedEnumerateNilEmitCounts(t *testing.T) {
 		if m := int64(len(CollectAffected(c, o, dirty))); n != m {
 			t.Fatalf("trial %d: count-only %d != collected %d", trial, n, m)
 		}
+	}
+}
+
+// TestEnumeratorAffectedMaskDoesNotLeak: the class mask an affected pass
+// sets must not survive into a later static run of the same Enumerator —
+// neither one held directly (Reset, affected pass, Reset, Run) nor one
+// handed back and forth through a sync.Pool the way the host's δ-share
+// drain pools them.
+func TestEnumeratorAffectedMaskDoesNotLeak(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	dirtySet := map[graph.VertexID]bool{3: true, 17: true, 29: true}
+	dirty := func(v graph.VertexID) bool { return dirtySet[v] }
+	var pool sync.Pool
+	pooled := func(f func(e *Enumerator)) {
+		e, _ := pool.Get().(*Enumerator)
+		if e == nil {
+			e = new(Enumerator)
+		}
+		defer pool.Put(e)
+		f(e)
+	}
+	var e Enumerator
+	narrowed := 0
+	for trial := 0; trial < 20; trial++ {
+		_, c, o := affectedFixture(t, rng)
+		want := Count(c, o)
+		affected := EnumerateAffected(c, o, dirty, nil)
+		if affected < want {
+			narrowed++
+		}
+
+		e.Reset(c, o)
+		if got := e.runAffected(dirty, nil); got != affected {
+			t.Fatalf("trial %d: shared affected pass %d, EnumerateAffected %d", trial, got, affected)
+		}
+		e.Reset(c, o)
+		if got := e.Run(nil); got != want {
+			t.Fatalf("trial %d: Run after an affected pass counted %d, Count %d", trial, got, want)
+		}
+
+		pooled(func(e *Enumerator) {
+			e.Reset(c, o)
+			if got := e.runAffected(dirty, nil); got != affected {
+				t.Fatalf("trial %d: pooled affected pass %d, EnumerateAffected %d", trial, got, affected)
+			}
+		})
+		pooled(func(e *Enumerator) {
+			e.Reset(c, o)
+			if got := e.Run(nil); got != want {
+				t.Fatalf("trial %d: pooled Run after an affected pass counted %d, Count %d", trial, got, want)
+			}
+		})
+	}
+	if narrowed == 0 {
+		t.Fatal("the dirty set never narrowed a count, so a leaked mask would go unseen")
 	}
 }

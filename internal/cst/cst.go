@@ -58,7 +58,7 @@ func (a Adj) Degree(i CandIndex) int {
 // hand-rolled binary search. The kernel's batch rounds use the adaptive
 // galloping/bitset intersection instead (candidates arrive sorted, so a
 // cursor amortises the search); Has remains the oracle those strategies are
-// property-tested against, and the probe Simulate and Enumerate use.
+// property-tested against, and the probe the Enumerator uses.
 func (a Adj) Has(i, j CandIndex) bool {
 	lo, hi := int(a.Offsets[i]), int(a.Offsets[i+1])
 	for lo < hi {

@@ -29,6 +29,13 @@ type Enumerator struct {
 	mIdx  []CandIndex      // candidate index matched at each depth
 	mVert []graph.VertexID // data vertex matched at each depth
 
+	// Affected-region filter (affected.go): while dirty is non-nil, class[d]
+	// constrains the vertex matched at depth d to be dirty, clean or either.
+	// Only runAffected sets dirty, and it and Reset clear it, so the static
+	// path runs unfiltered.
+	class []int8
+	dirty func(graph.VertexID) bool
+
 	o       order.Order
 	emit    func(graph.Embedding) bool
 	take    func() bool
@@ -41,6 +48,7 @@ type Enumerator struct {
 func (e *Enumerator) Reset(c *CST, o order.Order) {
 	n := c.Query.NumVertices()
 	e.c, e.o, e.n = c, o, n
+	e.dirty = nil
 	if cap(e.candAt) < n {
 		e.candAt = make([][]graph.VertexID, n)
 		e.parentAdj = make([]Adj, n)
@@ -114,9 +122,10 @@ func (e *Enumerator) run() int64 {
 	return e.count
 }
 
-// rec is the prepared zero-alloc DFS matcher (PR 6): per-depth state lives
-// in hoisted arrays, so steady-state enumeration performs no allocation
-// except materialising an embedding for a collecting emit callback.
+// rec is the prepared zero-alloc DFS matcher: per-depth state lives in
+// hoisted arrays, so steady-state enumeration performs no allocation except
+// materialising an embedding for a collecting emit callback. While the
+// affected-region filter is on, it also skips candidates of the wrong class.
 //
 //fastmatch:hotpath
 func (e *Enumerator) rec(depth int) {
@@ -145,8 +154,12 @@ func (e *Enumerator) rec(depth int) {
 	cand := e.candAt[depth]
 	if depth == 0 {
 		for ci := CandIndex(0); int(ci) < len(cand); ci++ {
+			v := cand[ci]
+			if e.dirty != nil && e.excluded(0, v) {
+				continue
+			}
 			e.mIdx[0] = ci
-			e.mVert[0] = cand[ci]
+			e.mVert[0] = v
 			e.rec(1)
 			if e.stopped {
 				return
@@ -169,6 +182,9 @@ next:
 				continue next
 			}
 		}
+		if e.dirty != nil && e.excluded(depth, v) {
+			continue
+		}
 		e.mIdx[depth] = ci
 		e.mVert[depth] = v
 		e.rec(depth + 1)
@@ -176,6 +192,14 @@ next:
 			return
 		}
 	}
+}
+
+// excluded reports whether the class mask rules out matching v at depth.
+// Callers test e.dirty != nil first, so the static path pays one nil check
+// per candidate that survives validation.
+func (e *Enumerator) excluded(depth int, v graph.VertexID) bool {
+	cl := e.class[depth]
+	return cl != classFree && e.dirty(v) != (cl == classMustDirty)
 }
 
 // Enumerate backtracks over the CST following matching order o and invokes

@@ -53,36 +53,3 @@ func PerCandidateWorkload(c *CST) [][]float64 {
 	}
 	return table
 }
-
-// CountTreeEmbeddings counts tree mappings by explicit one-at-a-time
-// backtracking (no dynamic programming, no products): every assignment of a
-// candidate to each query vertex such that tree edges are respected counts
-// once. Tests use it as an independent check of the workload estimator.
-// Only safe on small CSTs.
-func CountTreeEmbeddings(c *CST) int64 {
-	t := c.Tree
-	assigned := make([]CandIndex, c.Query.NumVertices())
-	var total int64
-	var rec func(pos int)
-	rec = func(pos int) {
-		if pos == len(t.BFSOrder) {
-			total++
-			return
-		}
-		u := t.BFSOrder[pos]
-		if u == t.Root {
-			for i := range c.Cand[u] {
-				assigned[u] = CandIndex(i)
-				rec(pos + 1)
-			}
-			return
-		}
-		up := t.Parent[u]
-		for _, k := range c.Adjacency(up, u, assigned[up]) {
-			assigned[u] = k
-			rec(pos + 1)
-		}
-	}
-	rec(0)
-	return total
-}

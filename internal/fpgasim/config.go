@@ -1,9 +1,9 @@
 // Package fpgasim is the FPGA substrate this reproduction substitutes for
 // the paper's Alveo U200 card. It models the device at the transaction
 // level: pipelined modules with a fill depth and an initiation interval,
-// bounded FIFOs, BRAM (1-cycle) versus DRAM (≈8-cycle) reads, burst
-// DRAM→BRAM loads, PCIe transfers and the port budget of partitioned
-// arrays. The FAST kernel (package core) performs the real enumeration work
+// composed serially or concurrently (Eq. 1–4), BRAM (1-cycle) versus DRAM
+// (≈8-cycle) reads, burst DRAM→BRAM loads, PCIe transfers and the port
+// budget of partitioned arrays. The FAST kernel (package core) performs the real enumeration work
 // while charging cycles to this model, so the reported FPGA time follows
 // exactly the cycle equations (1)–(4) the paper derives.
 package fpgasim
@@ -36,9 +36,6 @@ type Config struct {
 	// No is the maximum number of partial results expanded per round
 	// (Section VI-B); the buffer reserves (|V(q)|−1)·No slots.
 	No int
-	// FIFODepth bounds the inter-module FIFOs of the task-parallel
-	// variants.
-	FIFODepth int
 	// DRAMBurstBytes is how many bytes one burst cycle moves when loading
 	// a CST partition from DRAM into BRAM.
 	DRAMBurstBytes int64
@@ -67,7 +64,6 @@ func DefaultConfig() Config {
 		DRAMBytes:      64 << 30,
 		PortMax:        512,
 		No:             4096,
-		FIFODepth:      512,
 		DRAMBurstBytes: 64,
 		PCIeGBps:       16,
 		DepthRead:      2,

@@ -110,59 +110,6 @@ func TestConcurrentLeqSerialProperty(t *testing.T) {
 	}
 }
 
-func TestFIFO(t *testing.T) {
-	f := NewFIFO[int]("tv", 2)
-	if !f.Empty() {
-		t.Error("new FIFO not empty")
-	}
-	if err := f.Push(1); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Push(2); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Push(3); err == nil {
-		t.Error("push into full FIFO succeeded")
-	}
-	if v, ok := f.Pop(); !ok || v != 1 {
-		t.Errorf("Pop = %d,%v", v, ok)
-	}
-	if v, ok := f.Pop(); !ok || v != 2 {
-		t.Errorf("Pop = %d,%v", v, ok)
-	}
-	if _, ok := f.Pop(); ok {
-		t.Error("pop from empty FIFO succeeded")
-	}
-	if f.HighWater() != 2 {
-		t.Errorf("HighWater = %d, want 2", f.HighWater())
-	}
-	pushes, pops := f.Throughput()
-	if pushes != 2 || pops != 2 {
-		t.Errorf("Throughput = %d,%d", pushes, pops)
-	}
-}
-
-func TestFIFOOrderProperty(t *testing.T) {
-	check := func(items []int32) bool {
-		f := NewFIFO[int32]("x", 0)
-		for _, it := range items {
-			if err := f.Push(it); err != nil {
-				return false
-			}
-		}
-		for _, want := range items {
-			got, ok := f.Pop()
-			if !ok || got != want {
-				return false
-			}
-		}
-		return f.Empty()
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestDeviceResourceAccounting(t *testing.T) {
 	d, err := NewDevice(0, DefaultConfig())
 	if err != nil {
