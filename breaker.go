@@ -131,13 +131,14 @@ const (
 // classify maps a routed call's final error to a breaker verdict. Hard
 // failure means the engine blew up — a recovered panic, an exhausted device
 // retry budget, anything that is not the caller's own deadline,
-// cancellation or an admission-controller shed.
+// cancellation or oversize query, or an admission-controller shed.
 func classify(err error) breakerVerdict {
 	switch {
 	case err == nil:
 		return verdictSuccess
 	case errors.Is(err, context.Canceled),
 		errors.Is(err, context.DeadlineExceeded),
+		errors.Is(err, ErrQueryTooLarge),
 		errors.Is(err, ErrQueueFull),
 		errors.Is(err, ErrDeadlineDoomed),
 		errors.Is(err, ErrQueueTimeout):

@@ -3,12 +3,14 @@ package fast
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"fastmatch/graph"
 	"fastmatch/ldbc"
 )
 
@@ -68,7 +70,7 @@ func TestBreakerSuccessResetsStreak(t *testing.T) {
 func TestBreakerNeutralOutcomesDoNotCount(t *testing.T) {
 	b, _ := testBreaker(2, time.Second)
 	for _, err := range []error{
-		context.Canceled, context.DeadlineExceeded,
+		context.Canceled, context.DeadlineExceeded, ErrQueryTooLarge,
 		ErrQueueFull, ErrDeadlineDoomed, ErrQueueTimeout,
 	} {
 		done, aerr := b.allow()
@@ -261,5 +263,54 @@ func TestServerBreakerOpen503(t *testing.T) {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+}
+
+// pathQuery is an n-vertex path with every vertex labelled 0. At n = 48 its
+// partial-results buffer (47·No·196 B) exceeds the default card's BRAM.
+func pathQuery(t *testing.T, n int) *graph.Query {
+	t.Helper()
+	labels := make([]graph.Label, n)
+	edges := make([][2]graph.QueryVertex, n-1)
+	for i := range edges {
+		edges[i] = [2]graph.QueryVertex{i, i + 1}
+	}
+	q, err := graph.NewQuery(fmt.Sprintf("path%d", n), labels, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q
+}
+
+// TestRouterBreakerIgnoresOversizeQuery: a query too large for the card is
+// the caller's error. Each call fails fast with ErrQueryTooLarge before any
+// CST is built, the tenant's breaker never trips, and the tenant keeps
+// serving well-formed queries.
+func TestRouterBreakerIgnoresOversizeQuery(t *testing.T) {
+	g := ldbc.Generate(ldbc.Config{ScaleFactor: 1, BasePersons: 80, Seed: 3})
+	r := NewRouter(RouterOptions{Workers: 2})
+	if err := r.AddGraph("g", g, nil); err != nil {
+		t.Fatal(err)
+	}
+	big := pathQuery(t, 48)
+	for i := 0; i < 6; i++ {
+		start := time.Now()
+		_, err := r.MatchContext(context.Background(), "g", big)
+		if !errors.Is(err, ErrQueryTooLarge) {
+			t.Fatalf("call %d: err = %v, want ErrQueryTooLarge", i, err)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Fatalf("call %d took %v to reject, want < 1s", i, d)
+		}
+	}
+	if s := r.Stats()["g"]; s.BreakerOpens != 0 || s.BreakerState != breakerClosed {
+		t.Fatalf("oversize queries moved the breaker: %+v", s)
+	}
+	q1, err := ldbc.QueryByName("q1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.MatchContext(context.Background(), "g", q1); err != nil {
+		t.Fatalf("q1 after oversize calls: %v", err)
 	}
 }

@@ -25,7 +25,7 @@ func cancelTestOptions(workers int) *Options {
 	dev := DefaultDevice()
 	dev.BRAMBytes = 64 << 10
 	dev.BatchSize = 64
-	return &Options{Variant: VariantShare, Device: dev, Workers: workers, PartitionWorkers: workers}
+	return &Options{Variant: VariantShare, Device: dev, Workers: workers}
 }
 
 // awaitGoroutineBaseline fails the test if the goroutine count does not
@@ -68,9 +68,9 @@ func TestMatchContextExpiredDeadline(t *testing.T) {
 }
 
 // TestMatchContextCancelMidRun cancels a running match from inside its own
-// stream callback — guaranteed mid-run — for Workers/PartitionWorkers ∈
-// {2, 4}, and asserts a partial result, ErrCanceled, and that every pipeline
-// goroutine exits (run under -race in CI).
+// stream callback — guaranteed mid-run — for Workers ∈ {2, 4}, and asserts
+// a partial result, ErrCanceled, and that every pipeline goroutine exits
+// (run under -race in CI).
 func TestMatchContextCancelMidRun(t *testing.T) {
 	g := cancelTestGraph()
 	q, _ := ldbc.QueryByName("q5")
@@ -129,7 +129,7 @@ func TestMatchContextCompletedThenCancelled(t *testing.T) {
 
 // TestWithLimitDeterminism: limit ≥ total keeps counts byte-identical to
 // the unbounded run, and limit < total yields exactly limit embeddings —
-// both regardless of Workers/PartitionWorkers.
+// both regardless of Workers.
 func TestWithLimitDeterminism(t *testing.T) {
 	g := engineTestGraph()
 	q, _ := ldbc.QueryByName("q5")

@@ -36,8 +36,8 @@ const DefaultPlanCacheSize = 128
 //     limit (Options.PlanCacheSize; evicted plans are re-planned on demand).
 //
 // An Engine is safe for concurrent use. Counts are deterministic: the same
-// query returns the same Result.Count regardless of Workers, of
-// PartitionWorkers, or of how many goroutines call in at once.
+// query returns the same Result.Count regardless of Workers or of how many
+// goroutines call in at once.
 type Engine struct {
 	g    *graph.Graph
 	opts Options
@@ -76,10 +76,9 @@ type planEntry struct {
 }
 
 // NewEngine creates an Engine over g. opts follows Match's semantics, with
-// two differences: Workers defaults to runtime.NumCPU() instead of 1,
-// because an Engine exists to exploit parallelism, and PartitionWorkers
-// defaults to Workers so the partition producer scales with the kernel
-// fan-out it feeds. A nil opts means VariantShare on the default device.
+// one difference: Workers defaults to runtime.NumCPU() instead of 1, because
+// an Engine exists to exploit parallelism. A nil opts means VariantShare on
+// the default device.
 func NewEngine(g *graph.Graph, opts *Options) (*Engine, error) {
 	return newEngine(g, opts, nil)
 }
@@ -103,9 +102,6 @@ func newEngine(g *graph.Graph, opts *Options, pool chan struct{}) (*Engine, erro
 		} else {
 			o.Workers = runtime.NumCPU()
 		}
-	}
-	if o.PartitionWorkers == 0 {
-		o.PartitionWorkers = o.Workers
 	}
 	cfg, err := o.hostConfig()
 	if err != nil {

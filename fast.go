@@ -2,7 +2,7 @@
 // Subgraph Matching on Massive Graphs" (ICDE 2021). It exposes the
 // CPU–FPGA co-designed matching pipeline (CST construction, partitioning,
 // workload-balanced scheduling, and the pipelined FAST kernel running on a
-// cycle-accurate FPGA device model), the paper's CPU and GPU-style baseline
+// cycle-model FPGA device), the paper's CPU and GPU-style baseline
 // algorithms, and the LDBC-like benchmark workloads — everything the
 // examples, command-line tools and benchmark harness consume.
 //
@@ -248,6 +248,12 @@ func (dc DeviceConfig) toSim() fpgasim.Config {
 	return cfg
 }
 
+// ErrQueryTooLarge is returned, before any CST is built, for a query whose
+// partial-results buffer alone exceeds the card's BRAM: no kernel could ever
+// admit it. It is the caller's error, so it never counts against a tenant's
+// circuit breaker, and the HTTP layer answers it with 400 bad_request.
+var ErrQueryTooLarge = host.ErrQueryTooLarge
+
 // Options configures Match. A nil *Options means VariantShare on the
 // default device.
 type Options struct {
@@ -258,7 +264,7 @@ type Options struct {
 	// DefaultDelta). A positive Delta always applies; an explicit δ = 0
 	// (force everything to the FPGA) is only distinguishable from "unset"
 	// when DeltaSet is true — or use the per-call WithDelta(0), which needs
-	// no flag.
+	// no flag. A Delta outside [0,1) is rejected, with or without DeltaSet.
 	Delta float64
 	// DeltaSet marks Delta as an explicit override even when it is zero.
 	// Without it a zero Delta means "use the variant's default", which made
@@ -273,12 +279,9 @@ type Options struct {
 	// CPU δ-share processed concurrently; 0 or 1 keeps the sequential
 	// pipeline. Counts do not depend on Workers.
 	Workers int
-	// PartitionWorkers > 1 parallelises the partition producer itself
-	// (Algorithm 2's restrict-and-recurse steps run on a bounded task pool)
-	// so it no longer serialises in front of the Workers fan-out. Delivery
-	// stays in sequential order, so counts do not depend on it either. In
-	// Match, 0 or 1 keeps the sequential producer; NewEngine defaults 0 to
-	// Workers.
+	// PartitionWorkers has no effect: nothing reads it. It remains only
+	// because the benchmark harness still sets it, and is removed by the next
+	// change to that harness.
 	PartitionWorkers int
 	// PlanCacheSize bounds Engine's plan cache (distinct query structures):
 	// > 0 is an explicit entry cap, 0 means DefaultPlanCacheSize, and < 0
@@ -299,14 +302,15 @@ func (o *Options) hostConfig() (host.Config, error) {
 	if err != nil {
 		return host.Config{}, err
 	}
+	// Range-check the engine-level override here, where NewEngine and
+	// Router.AddGraph validate, so a bad δ fails at construction or
+	// registration — not as a host: error after a query has already burned a
+	// Prepare and a plan-cache slot. A negative δ is rejected whether or not
+	// DeltaSet marks it as an override.
+	if o.Delta < 0 || o.Delta >= 1 {
+		return host.Config{}, fmt.Errorf("fast: Options.Delta %v outside [0,1)", o.Delta)
+	}
 	if o.DeltaSet || o.Delta > 0 {
-		// Range-check the engine-level override here, where NewEngine and
-		// Router.AddGraph validate, so a bad δ fails at construction or
-		// registration — not as a host: error after a query has already
-		// burned a Prepare and a plan-cache slot.
-		if o.Delta < 0 || o.Delta >= 1 {
-			return host.Config{}, fmt.Errorf("fast: Options.Delta %v outside [0,1)", o.Delta)
-		}
 		delta = o.Delta
 	}
 	faults, err := o.Chaos.toInjector()
@@ -314,16 +318,15 @@ func (o *Options) hostConfig() (host.Config, error) {
 		return host.Config{}, err
 	}
 	cfg := host.Config{
-		Device:           o.Device.toSim(),
-		NumFPGAs:         o.NumFPGAs,
-		Variant:          variant,
-		Delta:            delta,
-		Strategy:         host.OrderStrategy(o.Order),
-		Collect:          o.CollectEmbeddings,
-		Workers:          o.Workers,
-		PartitionWorkers: o.PartitionWorkers,
-		Faults:           faults,
-		Retry:            o.Retry.toHost(),
+		Device:   o.Device.toSim(),
+		NumFPGAs: o.NumFPGAs,
+		Variant:  variant,
+		Delta:    delta,
+		Strategy: host.OrderStrategy(o.Order),
+		Collect:  o.CollectEmbeddings,
+		Workers:  o.Workers,
+		Faults:   faults,
+		Retry:    o.Retry.toHost(),
 	}
 	if cfg.Strategy == "" {
 		cfg.Strategy = host.OrderPath

@@ -70,16 +70,6 @@ func BenchmarkPartition(b *testing.B) {
 	}
 }
 
-// BenchmarkPartitionConcurrent measures the ordered concurrent producer at
-// a small pool size — the host.Match configuration.
-func BenchmarkPartitionConcurrent(b *testing.B) {
-	c, o, cfg := benchInput(b, "q1", 200)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		PartitionConcurrent(c, o, cfg, 2, func(*CST) {})
-	}
-}
-
 // BenchmarkCSTBuildWorkers measures the parallel stamp-probe build across
 // pool sizes; workers=1 is the serial Build baseline on the same input.
 func BenchmarkCSTBuildWorkers(b *testing.B) {

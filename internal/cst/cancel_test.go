@@ -73,10 +73,8 @@ func TestRestrictCancelBoundedLatency(t *testing.T) {
 	}
 }
 
-// TestPartitionCancelMidRestrict: the partitioners must treat a nil
-// (cancelled) restrict as "stop producing" — sequential recursion returns,
-// and the concurrent producer still closes every ready channel so its drain
-// never blocks.
+// TestPartitionCancelMidRestrict: Partition must treat a nil (cancelled)
+// restrict as "stop producing" and return.
 func TestPartitionCancelMidRestrict(t *testing.T) {
 	c, _ := bigRestrictCST(t)
 	o := order.PathBased(c.Tree, c)
@@ -91,32 +89,20 @@ func TestPartitionCancelMidRestrict(t *testing.T) {
 		t.Fatalf("fixture produced %d pieces uncancelled, want >= 2", full)
 	}
 
-	for _, tc := range []struct {
-		name string
-		run  func(cfg PartitionConfig, process func(*CST)) int
-	}{
-		{"sequential", func(cfg PartitionConfig, process func(*CST)) int {
-			return Partition(c, o, cfg, process)
-		}},
-		{"ordered", func(cfg PartitionConfig, process func(*CST)) int {
-			return PartitionConcurrent(c, o, cfg, 4, process)
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			ccfg := cfg
-			var polls atomic.Int64
-			// Let a little work happen, then cancel — the fire point lands
-			// inside restrict loops as often as between pieces, covering the
-			// nil-return path in every producer.
-			ccfg.Cancel = func() bool { return polls.Add(1) > 8 }
-			var produced atomic.Int64
-			count := tc.run(ccfg, func(*CST) { produced.Add(1) })
-			if int64(count) < produced.Load() {
-				t.Errorf("returned count %d < delivered pieces %d", count, produced.Load())
-			}
-			if count >= full {
-				t.Errorf("cancelled run delivered %d pieces, want < uncancelled %d", count, full)
-			}
-		})
-	}
+	t.Run("sequential", func(t *testing.T) {
+		ccfg := cfg
+		polls := 0
+		// Let a little work happen, then cancel — the fire point lands inside
+		// restrict loops as often as between pieces, covering the nil-return
+		// path.
+		ccfg.Cancel = func() bool { polls++; return polls > 8 }
+		produced := 0
+		count := Partition(c, o, ccfg, func(*CST) { produced++ })
+		if count < produced {
+			t.Errorf("returned count %d < delivered pieces %d", count, produced)
+		}
+		if count >= full {
+			t.Errorf("cancelled run delivered %d pieces, want < uncancelled %d", count, full)
+		}
+	})
 }

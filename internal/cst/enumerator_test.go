@@ -4,7 +4,61 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"fastmatch/internal/order"
+	"fastmatch/ldbc"
 )
+
+// ldbcCST builds the CST and path order for one benchmark query over a
+// small LDBC-like graph, plus a partition config tight enough to force a
+// real multi-partition workload.
+func ldbcCST(t *testing.T, name string) (*CST, order.Order, PartitionConfig) {
+	t.Helper()
+	g := ldbc.Generate(ldbc.Config{ScaleFactor: 1, BasePersons: 120, Seed: 7})
+	q, err := ldbc.QueryByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := order.BuildBFSTree(q, order.SelectRoot(q, g))
+	c := Build(q, g, tr)
+	o := order.PathBased(tr, c)
+	cfg := PartitionConfig{MaxSizeBytes: c.SizeBytes()/6 + 64, MaxCandDegree: 16}
+	return c, o, cfg
+}
+
+// TestEnumerateParallelMatchesSequential: pieces handed off to other
+// goroutines while the producer keeps partitioning — what the host's offload
+// workers do — must merge to exactly the sequential totals, both the
+// unpartitioned Count and the partition-by-partition sum, on the LDBC
+// queries. Run under -race this also proves the pieces are consumed without
+// shared-state races.
+func TestEnumerateParallelMatchesSequential(t *testing.T) {
+	for _, name := range []string{"q1", "q2", "q3", "q4", "q5"} {
+		c, o, cfg := ldbcCST(t, name)
+		want := Count(c, o)
+		var seqSum int64
+		seqParts := Partition(c, o, cfg, func(p *CST) { seqSum += Enumerate(p, o, nil) })
+		if seqSum != want {
+			t.Fatalf("%s: partitioned sequential sum %d, want %d", name, seqSum, want)
+		}
+		if seqParts < 2 {
+			t.Errorf("%s: only %d partitions — config not tight enough to hand pieces off", name, seqParts)
+		}
+		var total atomic.Int64
+		var wg sync.WaitGroup
+		Partition(c, o, cfg, func(p *CST) {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				total.Add(Enumerate(p, o, nil))
+			}()
+		})
+		wg.Wait()
+		if got := total.Load(); got != want {
+			t.Errorf("%s: pieces enumerated in parallel sum to %d, want %d", name, got, want)
+		}
+	}
+}
 
 // TestEnumeratorResetReuse: one Enumerator cycled through every partition
 // piece must produce the same per-piece counts as a fresh Enumerate call —
@@ -63,34 +117,32 @@ func TestEnumeratorRunCounted(t *testing.T) {
 }
 
 // TestEnumeratorPooledConcurrentPartition: pooled enumerators draining a
-// concurrent partition stream on their own goroutines (the host's δ-share
-// shape) must agree with the sequential count. Run under -race this covers
-// prepared-Enumerator reuse while the partitioner is still producing pieces
-// on other goroutines.
+// partition stream on their own goroutines (the host's δ-share shape) must
+// agree with the sequential count. Run under -race this covers
+// prepared-Enumerator reuse on other goroutines while the partitioner is
+// still producing pieces.
 func TestEnumeratorPooledConcurrentPartition(t *testing.T) {
 	c, o, cfg := ldbcCST(t, "q5")
 	want := Count(c, o)
 	var pool sync.Pool
-	for _, workers := range []int{2, 4} {
-		var total atomic.Int64
-		var wg sync.WaitGroup
-		PartitionConcurrent(c, o, cfg, workers, func(p *CST) {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				e, _ := pool.Get().(*Enumerator)
-				if e == nil {
-					e = new(Enumerator)
-				}
-				defer pool.Put(e)
-				e.Reset(p, o)
-				total.Add(e.Run(nil))
-			}()
-		})
-		wg.Wait()
-		if got := total.Load(); got != want {
-			t.Fatalf("workers=%d: pooled total %d, want %d", workers, got, want)
-		}
+	var total atomic.Int64
+	var wg sync.WaitGroup
+	Partition(c, o, cfg, func(p *CST) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			e, _ := pool.Get().(*Enumerator)
+			if e == nil {
+				e = new(Enumerator)
+			}
+			defer pool.Put(e)
+			e.Reset(p, o)
+			total.Add(e.Run(nil))
+		}()
+	})
+	wg.Wait()
+	if got := total.Load(); got != want {
+		t.Fatalf("pooled total %d, want %d", got, want)
 	}
 }
 

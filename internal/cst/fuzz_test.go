@@ -12,8 +12,7 @@ import (
 // threshold space, including the degenerate δS/δD values a caller can hand
 // PartitionConfig (zero, negative, or absurdly tiny budgets, and fixed-k
 // overrides): whatever the thresholds, partitioning must terminate and the
-// per-piece counts must union to exactly the unpartitioned count, for the
-// sequential producer and the concurrent one.
+// per-piece counts must union to exactly the unpartitioned count.
 //
 // corpus selects the subject: 0 is the paper's Fig. 1 running example, 1 is
 // LDBC q1 over a small generated social network (the two seeds below), and
@@ -22,14 +21,14 @@ func FuzzPartitionCounts(f *testing.F) {
 	// Seed corpus: the Fig. 1 example with the default-ish thresholds, the
 	// same with degenerate δS/δD, and LDBC q1 with a budget tight enough to
 	// force splits plus a fixed-k variant.
-	f.Add(uint8(0), int64(1), int64(256), 4, 0, uint8(2))
-	f.Add(uint8(0), int64(1), int64(0), -1, 0, uint8(3))
-	f.Add(uint8(0), int64(2), int64(-7), 0, 3, uint8(4))
-	f.Add(uint8(1), int64(7), int64(2048), 8, 0, uint8(2))
-	f.Add(uint8(1), int64(7), int64(1), 1, 2, uint8(4))
-	f.Add(uint8(2), int64(99), int64(512), 3, 0, uint8(2))
+	f.Add(uint8(0), int64(1), int64(256), 4, 0)
+	f.Add(uint8(0), int64(1), int64(0), -1, 0)
+	f.Add(uint8(0), int64(2), int64(-7), 0, 3)
+	f.Add(uint8(1), int64(7), int64(2048), 8, 0)
+	f.Add(uint8(1), int64(7), int64(1), 1, 2)
+	f.Add(uint8(2), int64(99), int64(512), 3, 0)
 
-	f.Fuzz(func(t *testing.T, corpus uint8, seed int64, maxSize int64, maxDeg, fixedK int, workers uint8) {
+	f.Fuzz(func(t *testing.T, corpus uint8, seed int64, maxSize int64, maxDeg, fixedK int) {
 		var (
 			q *graph.Query
 			g *graph.Graph
@@ -70,24 +69,12 @@ func FuzzPartitionCounts(f *testing.F) {
 			MaxCandDegree: maxDeg,
 			FixedK:        fixedK % 6,
 		}
-		w := int(workers%4) + 1
 
 		want := Count(c, o)
-		var seqSum int64
-		seqN := Partition(c, o, cfg, func(p *CST) { seqSum += Enumerate(p, o, nil) })
-		if seqSum != want {
-			t.Fatalf("Partition: piece counts union to %d, want %d (cfg=%+v)", seqSum, want, cfg)
-		}
-
-		var ordSum int64
-		ordN := PartitionConcurrent(c, o, cfg, w, func(p *CST) {
-			ordSum += Enumerate(p, o, nil)
-		})
-		if ordSum != want {
-			t.Fatalf("PartitionConcurrent(workers=%d): union %d, want %d (cfg=%+v)", w, ordSum, want, cfg)
-		}
-		if ordN != seqN {
-			t.Fatalf("PartitionConcurrent(workers=%d) produced %d pieces, sequential %d (cfg=%+v)", w, ordN, seqN, cfg)
+		var sum int64
+		Partition(c, o, cfg, func(p *CST) { sum += Enumerate(p, o, nil) })
+		if sum != want {
+			t.Fatalf("Partition: piece counts union to %d, want %d (cfg=%+v)", sum, want, cfg)
 		}
 	})
 }

@@ -21,12 +21,11 @@ type PartitionConfig struct {
 	// such pieces to the CPU, "reducing the cost of partitioning" as
 	// Section VII-B explains) and stops its recursion.
 	Steal func(*CST) bool
-	// Cancel, when non-nil, is polled between restrict-and-recurse steps.
-	// Once it returns true the partitioners stop producing: no further
-	// process calls or Steal offers are made, in-flight concurrent workers
-	// drain their queued tasks cheaply and exit, and the concurrent producer
-	// abandons its speculation. The piece count returned by a cancelled run
-	// reflects only the pieces delivered before cancellation was observed.
+	// Cancel, when non-nil, is polled between restrict-and-recurse steps and,
+	// amortised, inside restrict itself. Once it returns true Partition stops
+	// producing: no further process calls or Steal offers are made. The piece
+	// count returned by a cancelled run reflects only the pieces delivered
+	// before cancellation was observed.
 	Cancel func() bool
 }
 
@@ -48,12 +47,6 @@ func (cfg PartitionConfig) Fits(c *CST) bool {
 // order they become valid, which is how the scheduler overlaps partitioning
 // with FPGA execution. The partitions' search spaces are disjoint and their
 // union is exactly c's search space (tested property).
-//
-// rec's control flow is mirrored by the concurrent producer in concurrent.go
-// (computeNode/computeChunk), whose byte-identical-schedule guarantee depends
-// on the mirror staying in lockstep: any change to the split rules here must
-// be made there too, and partition_prop_test.go + FuzzPartitionCounts are
-// the gate that catches a divergence.
 func Partition(c *CST, o order.Order, cfg PartitionConfig, process func(*CST)) int {
 	count := 0
 	// One scratch serves the whole recursion; it carries the cancel hook
@@ -150,12 +143,11 @@ func evenChunk(n, k, i int) [2]int {
 	return [2]int{lo, hi}
 }
 
-// restrictScratch holds restrict's per-call working state so that repeated
-// restrict steps — the sequential recursion, and every worker of the
-// concurrent producer — reuse buffers instead of allocating them per piece.
-// Only bookkeeping lives here; everything that escapes into the produced
-// CST is freshly allocated. A scratch is single-goroutine state: the
-// sequential partitioner owns one, and each concurrent pool worker owns one.
+// restrictScratch holds restrict's per-call working state so that the
+// recursion's repeated restrict steps reuse buffers instead of allocating
+// them per piece. Only bookkeeping lives here; everything that escapes into
+// the produced CST is freshly allocated. A scratch is single-goroutine state,
+// owned by one Partition call.
 type restrictScratch struct {
 	inSub    []bool
 	changed  []bool
@@ -164,7 +156,7 @@ type restrictScratch struct {
 	remap    [][]CandIndex // old index -> new index or -1
 	tgtBuf   []CandIndex   // adjAssembler grow buffer, recycled across pieces
 
-	// cancel is the owning partitioner's PartitionConfig.Cancel, threaded
+	// cancel is the owning Partition call's PartitionConfig.Cancel, threaded
 	// into restrict itself so a single huge restrict step observes
 	// cancellation mid-loop instead of only between pieces. ticks amortises
 	// the poll (the internal/baseline deadline tick pattern): the hook —
@@ -176,8 +168,8 @@ type restrictScratch struct {
 	ticks  uint32
 }
 
-// polled reports whether the owning partitioner was cancelled, checking the
-// hook only every 4096th call.
+// polled reports whether the owning Partition call was cancelled, checking
+// the hook only every 4096th call.
 func (sc *restrictScratch) polled() bool {
 	if sc.cancel == nil {
 		return false

@@ -1,7 +1,6 @@
 package cst
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -11,8 +10,7 @@ import (
 
 // This file is the property harness for the partition/enumerate contract the
 // whole pipeline rests on (the comment in partition.go, Theorem 1): for any
-// (graph, query, thresholds) and for both producers — sequential Partition
-// and PartitionConcurrent —
+// (graph, query, thresholds), running Partition,
 //
 //	(a) every piece satisfies cfg.Fits or is atomic (all candidate sets
 //	    singleton, so no split can shrink it further),
@@ -20,8 +18,8 @@ import (
 //	(c) the union of per-piece Enumerate counts equals the unpartitioned
 //	    count and an independent brute-force oracle over the data graph.
 //
-// Scaling the producer without this harness is how a silent wrong-count
-// ships; every randomized pair below runs against all producers.
+// Changing the split rules without this harness is how a silent wrong-count
+// ships.
 
 // bruteCount is the CST-free oracle: label-filtered injective backtracking
 // directly over the data graph, checking every query edge. It shares no code
@@ -107,29 +105,29 @@ func atomicPiece(p *CST) bool {
 }
 
 // checkPieces asserts invariants (a)–(c) over the collected pieces of one
-// producer run. label names the producer for failure messages.
-func checkPieces(t *testing.T, pc propCase, label string, pieces []*CST, produced int, want int64) {
+// Partition run.
+func checkPieces(t *testing.T, pc propCase, pieces []*CST, produced int, want int64) {
 	t.Helper()
 	if produced != len(pieces) {
-		t.Errorf("seed %d %s: produced %d pieces but process saw %d", pc.seed, label, produced, len(pieces))
+		t.Errorf("seed %d: produced %d pieces but process saw %d", pc.seed, produced, len(pieces))
 		return
 	}
 	var sum int64
 	union := make(map[string]int)
 	for pi, p := range pieces {
 		if err := p.Validate(pc.g); err != nil {
-			t.Errorf("seed %d %s: piece %d invalid: %v", pc.seed, label, pi, err)
+			t.Errorf("seed %d: piece %d invalid: %v", pc.seed, pi, err)
 			return
 		}
 		if !pc.cfg.Fits(p) && !atomicPiece(p) {
-			t.Errorf("seed %d %s: piece %d violates thresholds (size=%d maxDeg=%d) and is not atomic",
-				pc.seed, label, pi, p.SizeBytes(), p.MaxCandDegree())
+			t.Errorf("seed %d: piece %d violates thresholds (size=%d maxDeg=%d) and is not atomic",
+				pc.seed, pi, p.SizeBytes(), p.MaxCandDegree())
 			return
 		}
 		n := Enumerate(p, pc.o, func(e graph.Embedding) bool {
 			if prev, dup := union[e.Key()]; dup {
-				t.Errorf("seed %d %s: embedding %v in pieces %d and %d — search spaces overlap",
-					pc.seed, label, e, prev, pi)
+				t.Errorf("seed %d: embedding %v in pieces %d and %d — search spaces overlap",
+					pc.seed, e, prev, pi)
 				return false
 			}
 			union[e.Key()] = pi
@@ -138,17 +136,15 @@ func checkPieces(t *testing.T, pc propCase, label string, pieces []*CST, produce
 		sum += n
 	}
 	if sum != want {
-		t.Errorf("seed %d %s: union of piece counts = %d, want %d", pc.seed, label, sum, want)
+		t.Errorf("seed %d: union of piece counts = %d, want %d", pc.seed, sum, want)
 	}
 	if int64(len(union)) != want {
-		t.Errorf("seed %d %s: %d distinct embeddings across pieces, want %d", pc.seed, label, len(union), want)
+		t.Errorf("seed %d: %d distinct embeddings across pieces, want %d", pc.seed, len(union), want)
 	}
 }
 
 // TestPartitionEnumerateProperties is the main harness: >= 100 randomized
-// graph/query pairs (the acceptance floor), each checked for all producers
-// and several pool sizes. Runs race-clean under -race, which is what makes
-// the concurrent producers' process collection below meaningful.
+// graph/query pairs (the acceptance floor).
 func TestPartitionEnumerateProperties(t *testing.T) {
 	const pairs = 110
 	for seed := int64(0); seed < pairs; seed++ {
@@ -157,83 +153,21 @@ func TestPartitionEnumerateProperties(t *testing.T) {
 		if brute := bruteCount(pc.q, pc.g); brute != want {
 			t.Fatalf("seed %d: CST count %d disagrees with brute force %d", seed, want, brute)
 		}
-
-		var seq []*CST
-		seqN := Partition(pc.c, pc.o, pc.cfg, func(p *CST) { seq = append(seq, p) })
-		checkPieces(t, pc, "Partition", seq, seqN, want)
-
-		for _, workers := range []int{2, 3, 4} {
-			var got []*CST
-			n := PartitionConcurrent(pc.c, pc.o, pc.cfg, workers, func(p *CST) { got = append(got, p) })
-			checkPieces(t, pc, fmt.Sprintf("PartitionConcurrent(workers=%d)", workers), got, n, want)
-			if n != seqN {
-				t.Errorf("seed %d workers=%d: %d pieces, sequential %d", seed, workers, n, seqN)
-			}
-		}
+		var pieces []*CST
+		n := Partition(pc.c, pc.o, pc.cfg, func(p *CST) { pieces = append(pieces, p) })
+		checkPieces(t, pc, pieces, n, want)
 	}
 }
 
-// TestPartitionOrderedByteIdenticalSchedule pins the ordered mode's whole
-// contract: the sequence of deliveries — Steal offers and processed pieces,
-// with their candidate-set contents — is byte-identical to sequential
-// Partition's, including the δ-share Steal decisions, which here follow a
-// deterministic accept-every-third script.
-func TestPartitionOrderedByteIdenticalSchedule(t *testing.T) {
-	signature := func(p *CST) string {
-		return fmt.Sprintf("%v", p.Cand)
-	}
-	trace := func(run func(cfg PartitionConfig, process func(*CST)) int, cfg PartitionConfig) ([]string, int) {
-		var events []string
-		offers := 0
-		cfg.Steal = func(p *CST) bool {
-			offers++
-			take := offers%3 == 0
-			events = append(events, fmt.Sprintf("steal(%v)=%s", take, signature(p)))
-			return take
-		}
-		n := run(cfg, func(p *CST) {
-			events = append(events, "emit="+signature(p))
-		})
-		return events, n
-	}
-
-	for seed := int64(200); seed < 220; seed++ {
-		pc := randomPropCase(seed)
-		seqEvents, seqN := trace(func(cfg PartitionConfig, process func(*CST)) int {
-			return Partition(pc.c, pc.o, cfg, process)
-		}, pc.cfg)
-		for _, workers := range []int{2, 3, 5} {
-			ordEvents, ordN := trace(func(cfg PartitionConfig, process func(*CST)) int {
-				return PartitionConcurrent(pc.c, pc.o, cfg, workers, process)
-			}, pc.cfg)
-			if ordN != seqN {
-				t.Fatalf("seed %d workers=%d: count %d, sequential %d", seed, workers, ordN, seqN)
-			}
-			if len(ordEvents) != len(seqEvents) {
-				t.Fatalf("seed %d workers=%d: %d events, sequential %d", seed, workers, len(ordEvents), len(seqEvents))
-			}
-			for i := range seqEvents {
-				if ordEvents[i] != seqEvents[i] {
-					t.Fatalf("seed %d workers=%d: event %d differs:\n  ordered:    %s\n  sequential: %s",
-						seed, workers, i, ordEvents[i], seqEvents[i])
-				}
-			}
-		}
-	}
-}
-
-// TestPartitionConcurrentStolenUnionStaysExact: with the concurrent producer
-// speculating ahead of a Steal hook that takes every other offer, the stolen
-// pieces and the processed pieces together still partition the search space
-// — the invariant host.Match's δ-share rests on.
-func TestPartitionConcurrentStolenUnionStaysExact(t *testing.T) {
+// TestPartitionStolenUnionStaysExact: with a Steal hook that takes every
+// other offer, the stolen pieces and the processed pieces together still
+// partition the search space — the invariant host.Match's δ-share rests on.
+func TestPartitionStolenUnionStaysExact(t *testing.T) {
 	for seed := int64(300); seed < 330; seed++ {
 		pc := randomPropCase(seed)
 		want := Count(pc.c, pc.o)
 		var all []*CST // processed + stolen: must union exactly
 		offers := 0
-		// Offers and deliveries both arrive on this goroutine, so plain state
-		// is safe (and -race checks that claim).
 		pc.cfg.Steal = func(p *CST) bool {
 			offers++
 			if offers%2 == 1 {
@@ -242,7 +176,7 @@ func TestPartitionConcurrentStolenUnionStaysExact(t *testing.T) {
 			all = append(all, p)
 			return true
 		}
-		n := PartitionConcurrent(pc.c, pc.o, pc.cfg, 4, func(p *CST) { all = append(all, p) })
+		n := Partition(pc.c, pc.o, pc.cfg, func(p *CST) { all = append(all, p) })
 		if n != len(all) {
 			t.Fatalf("seed %d: count %d but %d pieces seen", seed, n, len(all))
 		}

@@ -16,10 +16,9 @@ import (
 // FPGA fan-out and the δ-share drain are mid-flight when cancellation hits.
 func cancelConfig(workers int) Config {
 	return Config{
-		Delta:            0.3,
-		Workers:          workers,
-		PartitionWorkers: workers,
-		Partition:        cst.PartitionConfig{MaxSizeBytes: 16 << 10, MaxCandDegree: 64},
+		Delta:     0.3,
+		Workers:   workers,
+		Partition: cst.PartitionConfig{MaxSizeBytes: 16 << 10, MaxCandDegree: 64},
 	}
 }
 

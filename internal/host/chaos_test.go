@@ -19,11 +19,11 @@ func chaosPartition() cst.PartitionConfig {
 // chaosConfigs are the pipeline widths every oracle below is checked
 // against: the inline pool and the fanned-out consumers.
 var chaosConfigs = []struct {
-	name              string
-	workers, pworkers int
+	name    string
+	workers int
 }{
-	{"inline", 0, 0},
-	{"fanned out", 4, 2},
+	{"inline", 0},
+	{"fanned out", 4},
 }
 
 // TestChaosTransientParity: transient faults at the device staging and
@@ -57,8 +57,8 @@ func TestChaosTransientParity(t *testing.T) {
 			)
 			rep, err := Match(context.Background(), q, g, Config{
 				Partition: chaosPartition(), Delta: 0.1,
-				Workers: shape.workers, PartitionWorkers: shape.pworkers,
-				Faults: inj,
+				Workers: shape.workers,
+				Faults:  inj,
 			})
 			if err != nil {
 				t.Fatalf("%s/%s: absorbed transients must not error: %v", shape.name, name, err)
@@ -89,7 +89,7 @@ func TestChaosDeviceDeathSurvivor(t *testing.T) {
 			}
 			ref, err := Match(context.Background(), q, g, Config{
 				Partition: chaosPartition(), NumFPGAs: 2,
-				Workers: shape.workers, PartitionWorkers: shape.pworkers,
+				Workers: shape.workers,
 			})
 			if err != nil {
 				t.Fatalf("%s/%s baseline: %v", shape.name, name, err)
@@ -99,8 +99,8 @@ func TestChaosDeviceDeathSurvivor(t *testing.T) {
 			})
 			rep, err := Match(context.Background(), q, g, Config{
 				Partition: chaosPartition(), NumFPGAs: 2,
-				Workers: shape.workers, PartitionWorkers: shape.pworkers,
-				Faults: inj,
+				Workers: shape.workers,
+				Faults:  inj,
 			})
 			if err != nil {
 				t.Fatalf("%s/%s: survivor should absorb the death: %v", shape.name, name, err)
@@ -130,7 +130,7 @@ func TestChaosAllDevicesDeadFallsBackToCPU(t *testing.T) {
 		}
 		ref, err := Match(context.Background(), q, g, Config{
 			Partition: chaosPartition(),
-			Workers:   shape.workers, PartitionWorkers: shape.pworkers,
+			Workers:   shape.workers,
 		})
 		if err != nil {
 			t.Fatalf("%s baseline: %v", shape.name, err)
@@ -140,8 +140,8 @@ func TestChaosAllDevicesDeadFallsBackToCPU(t *testing.T) {
 		})
 		rep, err := Match(context.Background(), q, g, Config{
 			Partition: chaosPartition(),
-			Workers:   shape.workers, PartitionWorkers: shape.pworkers,
-			Faults: inj,
+			Workers:   shape.workers,
+			Faults:    inj,
 		})
 		if err != nil {
 			t.Fatalf("%s: CPU fallback should absorb a total device loss: %v", shape.name, err)
@@ -177,8 +177,8 @@ func TestChaosKernelPanicIsolated(t *testing.T) {
 		})
 		rep, err := Match(context.Background(), q, g, Config{
 			Partition: chaosPartition(),
-			Workers:   shape.workers, PartitionWorkers: shape.pworkers,
-			Faults: inj,
+			Workers:   shape.workers,
+			Faults:    inj,
 		})
 		if err == nil {
 			t.Fatalf("%s: injected kernel panic surfaced no error", shape.name)
@@ -210,8 +210,8 @@ func TestChaosEnumeratePanicIsolated(t *testing.T) {
 		})
 		rep, err := Match(context.Background(), q, g, Config{
 			Partition: chaosPartition(), Delta: 0.3,
-			Workers: shape.workers, PartitionWorkers: shape.pworkers,
-			Faults: inj,
+			Workers: shape.workers,
+			Faults:  inj,
 		})
 		if err == nil {
 			t.Skipf("%s: δ-share drained no partitions; enumerate site never evaluated", shape.name)
@@ -242,9 +242,9 @@ func TestChaosExhaustedRetriesPartial(t *testing.T) {
 		})
 		rep, err := Match(context.Background(), q, g, Config{
 			Partition: chaosPartition(),
-			Workers:   shape.workers, PartitionWorkers: shape.pworkers,
-			Faults: inj,
-			Retry:  RetryPolicy{Max: 2},
+			Workers:   shape.workers,
+			Faults:    inj,
+			Retry:     RetryPolicy{Max: 2},
 		})
 		if err == nil {
 			t.Fatalf("%s: permanently failing stage surfaced no error", shape.name)

@@ -64,9 +64,10 @@ func (ct *runControl) halt() {
 	ct.stopOnce.Do(func() { close(ct.stopCh) })
 }
 
-// active reports whether any per-call feature needs the pipeline hooks
-// installed. An inactive control installs none, so a plain Match runs the
-// exact pre-context pipeline.
+// active reports whether any per-call feature — a context that can fire, a
+// limit or a stream — needs the result-slot reservation and the per-embedding
+// budget checks. An inactive control skips them, so a plain Match counts on
+// the allocation-free paths.
 func (ct *runControl) active() bool {
 	return ct.done != nil || ct.limit > 0 || ct.emit != nil
 }

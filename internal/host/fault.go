@@ -67,11 +67,11 @@ func (p RetryPolicy) backoff(attempt int) time.Duration {
 }
 
 // KernelPanicError reports a panic recovered inside the pipeline — a kernel
-// execution, a CPU δ-share enumeration, or a partition-pool worker. The
+// execution, a CPU δ-share enumeration, or the partition producer. The
 // panic is isolated to the work item that raised it: pooled scratch state
 // it may have corrupted is discarded instead of returned, sibling workers
-// and the ordered-drain protocol are unaffected, and the Match call returns
-// its partial Report with this error instead of crashing the process.
+// are unaffected, and the Match call returns its partial Report with this
+// error instead of crashing the process.
 type KernelPanicError struct {
 	// Site names where the panic surfaced: faultinject.SiteKernel,
 	// faultinject.SiteEnumerate, or "partition".
@@ -133,14 +133,9 @@ func isTransientFault(err error) bool {
 	return errors.Is(err, fpgasim.ErrTransient) || errors.Is(err, faultinject.ErrInjected)
 }
 
-// newPanicError wraps a recovered panic value as a KernelPanicError. A
-// cst.WorkerPanic (a panic a partition-pool worker already recovered and
-// re-threw on the caller's goroutine) keeps its original value and worker
-// stack instead of the rethrow site's.
+// newPanicError wraps a recovered panic value as a KernelPanicError,
+// capturing the recovering goroutine's stack.
 func newPanicError(site string, r any) *KernelPanicError {
-	if wp, ok := r.(*cst.WorkerPanic); ok {
-		return &KernelPanicError{Site: site, Value: wp.Value, Stack: wp.Stack}
-	}
 	return &KernelPanicError{Site: site, Value: r, Stack: debug.Stack()}
 }
 

@@ -14,10 +14,9 @@
 // when the producer returns. Above 1 the offload consumer runs on that many
 // goroutines and the δ-share consumer on one more, all overlapping the
 // producer — the software analogue of the paper's multi-PE parallelism and
-// CPU–FPGA co-processing (Fig. 13). Config.PartitionWorkers > 1 runs the
-// producer's restrict steps (Algorithm 2's recursion) on a bounded task pool
-// as well, so neither side of the overlap serialises the other. Counts, the
-// δ split and the kernel statistics are the same at every width.
+// CPU–FPGA co-processing (Fig. 13). The producer is Algorithm 2's sequential
+// recursion on the caller's goroutine at every width. Counts, the δ split and
+// the kernel statistics are the same at every width.
 //
 // Execution is context-first: Match and Prepare take a context.Context, and
 // every layer that loops observes it — the partition producer between
@@ -34,12 +33,12 @@
 // device's queued partitions are redistributed to surviving devices or the
 // CPU δ-share path; and every kernel/enumeration worker runs under a
 // recover barrier that converts a panic into a *KernelPanicError (stack
-// captured, pooled scratch discarded, sibling workers and the ordered
-// drain unaffected). Only exhausted retries (*DeviceFaultError) and panics
-// surface as errors, always on a Partial report; Report.Retries,
-// DeviceFailures and Redistributed record absorbed faults. Config.Inject
-// accepts a deterministic faultinject.Injector so any failing schedule
-// replays byte-identically.
+// captured, pooled scratch discarded, sibling workers unaffected). A terminal
+// error on any stage also stops the producer. Only exhausted retries
+// (*DeviceFaultError) and panics surface as errors, always on a Partial
+// report; Report.Retries, DeviceFailures and Redistributed record absorbed
+// faults. Config.Inject accepts a deterministic faultinject.Injector so any
+// failing schedule replays byte-identically.
 package host
 
 import (
@@ -106,16 +105,9 @@ type Config struct {
 	// Workers > 1 the partition→card assignment depends on completion
 	// timing, so per-card modelled times may differ run to run.
 	Workers int
-	// PartitionWorkers is the width of the producer: above 1, Algorithm 2's
-	// restrict-and-recurse steps run on a bounded task pool of that many
-	// goroutines (cst.PartitionConcurrent) instead of a single recursion, so
-	// on multi-core hosts partition production does not serialise in front
-	// of the consumers. Pieces, Steal offers and the δ-routing decisions are
-	// still delivered on the caller's goroutine in the same order, so
-	// embedding counts, partition counts and the δ split are byte-identical
-	// at every width. PartitionTime then measures the drain's critical path
-	// (waits on in-flight restrict tasks included), which is the quantity
-	// that shrinks as the producer scales.
+	// PartitionWorkers has no effect: nothing reads it. It remains only
+	// because the benchmark harness still sets it, and is removed by the next
+	// change to that harness.
 	PartitionWorkers int
 	// Pool, when non-nil, is a shared token bucket: each worker holds one
 	// token per FPGA-bound partition it processes, bounding the total
@@ -130,9 +122,9 @@ type Config struct {
 	Plan *Plan
 	// Limit, when > 0, stops the run after that many embeddings. The count
 	// is exact and deterministic — min(Limit, total) — regardless of
-	// Workers or PartitionWorkers: every counted embedding holds a slot
-	// reserved from one shared budget. A limit stop is not an error; the
-	// Report just comes back Partial.
+	// Workers: every counted embedding holds a slot reserved from one shared
+	// budget. A limit stop is not an error; the Report just comes back
+	// Partial.
 	Limit int64
 	// Emit, when non-nil, receives every embedding as it is found. Calls
 	// are serialized (the callback never runs concurrently with itself),
@@ -174,10 +166,16 @@ func (c Config) withDefaults(q *graph.Query) Config {
 	return c
 }
 
+// ErrQueryTooLarge reports a query whose partial-results buffer alone
+// exceeds the card's BRAM. No kernel can admit any piece of such a query's
+// CST, however small, so Prepare rejects it before building one. It is the
+// caller's error, not the engine's.
+var ErrQueryTooLarge = errors.New("host: query too large for the card")
+
 // DefaultPartition derives the partition thresholds of Section V-B from the
 // card for a query of nq vertices: δS is the BRAM left once the
-// partial-results buffer is placed (floored at 1 KiB for a card smaller
-// than its buffer), δD the port budget.
+// partial-results buffer is placed (floored at 1 KiB when the buffer leaves
+// less), δD the port budget.
 func DefaultPartition(dev fpgasim.Config, nq int) cst.PartitionConfig {
 	size := dev.BRAMBytes - dev.BufferBytes(nq)
 	if size < 1024 {
@@ -238,19 +236,19 @@ type Plan struct {
 
 // Prepare runs Phase 1 (root selection, BFS tree, CST construction —
 // Algorithm 1 — and matching-order selection) and returns the reusable
-// plan. cfg contributes only the order settings (Strategy/ExplicitOrder).
-// An already-cancelled ctx returns its error before any work; Phase 1 is
+// plan. cfg contributes the order settings (Strategy/ExplicitOrder), the
+// build width (Workers) and the card (Device). An already-cancelled ctx
+// returns its error before any work, and a query whose partial-results
+// buffer exceeds the card's BRAM returns ErrQueryTooLarge; Phase 1 is
 // otherwise not interruptible (it is one CST construction, not a loop).
 func Prepare(ctx context.Context, q *graph.Query, g *graph.Graph, cfg Config) (*Plan, error) {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
+	cfg, err := prepareConfig(ctx, q, cfg)
+	if err != nil {
+		return nil, err
 	}
-	cfg = cfg.withDefaults(q)
 	root := order.SelectRoot(q, g)
 	tree := order.BuildBFSTree(q, root)
-	c := cst.BuildWorkers(q, g, tree, cfg.PartitionWorkers)
+	c := cst.BuildWorkers(q, g, tree, cfg.Workers)
 	o := cfg.ExplicitOrder
 	if o == nil {
 		switch cfg.Strategy {
@@ -283,14 +281,30 @@ func PrepareSeeded(ctx context.Context, q *graph.Query, g *graph.Graph, cfg Conf
 	if seed == nil {
 		return Prepare(ctx, q, g, cfg)
 	}
+	cfg, err := prepareConfig(ctx, q, cfg)
+	if err != nil {
+		return nil, err
+	}
+	c := cst.BuildWorkers(q, g, seed.Tree, cfg.Workers)
+	return &Plan{Root: seed.Root, Tree: seed.Tree, Order: seed.Order, CST: c}, nil
+}
+
+// prepareConfig applies cfg's defaults after the checks Prepare and
+// PrepareSeeded make before building a CST: the context is live, and the
+// query's partial-results buffer fits the card's BRAM.
+func prepareConfig(ctx context.Context, q *graph.Query, cfg Config) (Config, error) {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return cfg, err
 		}
 	}
 	cfg = cfg.withDefaults(q)
-	c := cst.BuildWorkers(q, g, seed.Tree, cfg.PartitionWorkers)
-	return &Plan{Root: seed.Root, Tree: seed.Tree, Order: seed.Order, CST: c}, nil
+	nq := q.NumVertices()
+	if buf := cfg.Device.BufferBytes(nq); buf > cfg.Device.BRAMBytes {
+		return cfg, fmt.Errorf("%w: a %d-vertex query needs a %d B partial-results buffer, BRAM holds %d B",
+			ErrQueryTooLarge, nq, buf, cfg.Device.BRAMBytes)
+	}
+	return cfg, nil
 }
 
 // Report is the end-to-end outcome of a match.
@@ -512,15 +526,17 @@ func newPipeline(cfg Config, ct *runControl, rep *Report, o order.Order, devices
 		devices: devices, transfer: transfer,
 	}
 	p.devCond.L = &p.devMu
-	// The kernels poll the halt state between batch rounds, so a deadline or
-	// a sibling's failure interrupts a pathological piece mid-flight. The
-	// producer's poll and the result-slot reservation are installed only for
-	// calls that can actually cancel, limit or stream.
+	// The kernels poll the halt state between batch rounds and the producer
+	// between (and inside) restrict steps, so a deadline or a terminal error
+	// on any stage interrupts a pathological piece mid-flight and stops the
+	// split tree from being walked to the end only to be discarded. The
+	// result-slot reservation is installed only for calls that can actually
+	// cancel, limit or stream.
 	halted := p.halted
 	p.kopts = core.Options{Variant: cfg.Variant, Config: cfg.Device, Collect: cfg.Collect, Cancel: halted}
+	p.cfg.Partition.Cancel = halted
 	if ct.active() {
 		p.kopts.Take = ct.take
-		p.cfg.Partition.Cancel = halted
 	}
 	if ct.emit != nil {
 		p.kopts.Emit = func(e graph.Embedding) { ct.send(e) }
@@ -627,12 +643,9 @@ func (r *Report) merge(st *consumerStats) {
 }
 
 // produce runs Algorithms 2 and 3 on the caller's goroutine under the run's
-// recover barrier: a panic anywhere in the producer — Algorithm 2 itself, an
-// inline consumer, or a partition-pool worker panic rethrown by the ordered
-// drain as a *cst.WorkerPanic (converted keeping the worker's stack) —
-// becomes a typed error here, before the queues close, so the consumers
-// always drain and the WaitGroup always resolves. Pieces, Steal offers and
-// routing decisions arrive in the same order whatever PartitionWorkers is.
+// recover barrier: a panic anywhere in the producer — Algorithm 2 itself or
+// an inline consumer — becomes a typed error here, before the queues close,
+// so the consumers always drain and the WaitGroup always resolves.
 //
 // PartitionTime accounts only the producer's own work: the clock stops
 // around every dispatch, so neither an inline kernel run nor a backpressure
@@ -648,7 +661,7 @@ func (p *pipeline) produce(c *cst.CST) (err error) {
 			err = newPanicError("partition", r)
 		}
 	}()
-	p.rep.NumPartitions = cst.PartitionConcurrent(c, p.o, p.cfg.Partition, p.cfg.PartitionWorkers, p.route)
+	p.rep.NumPartitions = cst.Partition(c, p.o, p.cfg.Partition, p.route)
 	return nil
 }
 

@@ -266,7 +266,7 @@ func TestMatchAllocsBounded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := Config{Workers: 1, PartitionWorkers: 1, Delta: 0.1}
+		cfg := Config{Workers: 1, Delta: 0.1}
 		if cfg.Plan, err = Prepare(context.Background(), q, g, cfg); err != nil {
 			t.Fatal(err)
 		}

@@ -49,11 +49,10 @@ func countsOf(r Report) widthCounts {
 	}
 }
 
-// checkWidthParity runs every LDBC query at each (δ, Workers,
-// PartitionWorkers) cell and requires the Workers=PartitionWorkers=1 row's
-// counts byte-for-byte: it is one pipeline run at different widths, so
-// nothing the scheduler decides may move.
-func checkWidthParity(t *testing.T, deltas []float64, workers, pworkers []int) {
+// checkWidthParity runs every LDBC query at each (δ, Workers) cell and
+// requires the Workers=1 row's counts byte-for-byte: it is one pipeline run
+// at different widths, so nothing the scheduler decides may move.
+func checkWidthParity(t *testing.T, deltas []float64, workers []int) {
 	t.Helper()
 	g, base := parallelTestSetup()
 	for _, name := range []string{"q1", "q2", "q3", "q4", "q5"} {
@@ -73,33 +72,30 @@ func checkWidthParity(t *testing.T, deltas []float64, workers, pworkers []int) {
 					name, delta, ref.Embeddings, ref.NumPartitions)
 			}
 			for _, w := range workers {
-				for _, pw := range pworkers {
-					cfg.Workers, cfg.PartitionWorkers = w, pw
-					rep, err := Match(context.Background(), q, g, cfg)
-					if err != nil {
-						t.Fatalf("%s δ=%v workers=%d pw=%d: %v", name, delta, w, pw, err)
-					}
-					if got, want := countsOf(rep), countsOf(ref); got != want {
-						t.Errorf("%s δ=%v workers=%d pw=%d:\n got %+v\nwant %+v", name, delta, w, pw, got, want)
-					}
+				cfg.Workers = w
+				rep, err := Match(context.Background(), q, g, cfg)
+				if err != nil {
+					t.Fatalf("%s δ=%v workers=%d: %v", name, delta, w, err)
+				}
+				if got, want := countsOf(rep), countsOf(ref); got != want {
+					t.Errorf("%s δ=%v workers=%d:\n got %+v\nwant %+v", name, delta, w, got, want)
 				}
 			}
 		}
 	}
 }
 
-// TestMatchWorkersCountsEqualSequential: fanning the consumers out, at any
-// producer width and with the δ-share on or off, reproduces the inline
-// pool's counts.
+// TestMatchWorkersCountsEqualSequential: fanning the consumers out, even
+// and odd, with the δ-share on or off, reproduces the inline pool's counts.
 func TestMatchWorkersCountsEqualSequential(t *testing.T) {
-	checkWidthParity(t, []float64{0, 0.1}, []int{2, 4}, []int{1, 2, 4})
+	checkWidthParity(t, []float64{0, 0.1}, []int{2, 3, 4})
 }
 
 // TestMatchWorkersCollectSameSet: at Workers <= 1 the collected embeddings
 // are a deterministic sequence — FPGA-bound pieces in producer order, then
-// the δ-share — whatever the producer's width, which is the emission order
-// fast.Engine documents; under Workers > 1 they arrive in a nondeterministic
-// order but must form the same set.
+// the δ-share — which is the emission order fast.Engine documents; under
+// Workers > 1 they arrive in a nondeterministic order but must form the same
+// set.
 func TestMatchWorkersCollectSameSet(t *testing.T) {
 	g, base := parallelTestSetup()
 	q, err := ldbc.QueryByName("q2")
@@ -116,18 +112,17 @@ func TestMatchWorkersCollectSameSet(t *testing.T) {
 	}
 	var seq []string
 	for _, tc := range []struct {
-		name              string
-		workers, pworkers int
-		sameSequence      bool
+		name         string
+		workers      int
+		sameSequence bool
 	}{
-		{"inline", 1, 1, true},
-		{"inline again", 1, 1, true},
-		{"inline, concurrent producer", 1, 2, true},
-		{"fanned out", 4, 1, false},
-		{"fanned out, concurrent producer", 4, 4, false},
+		{"inline", 1, true},
+		{"inline again", 1, true},
+		{"fanned out", 4, false},
+		{"fanned out, odd", 3, false},
 	} {
 		cfg := base
-		cfg.Workers, cfg.PartitionWorkers = tc.workers, tc.pworkers
+		cfg.Workers = tc.workers
 		rep, err := Match(context.Background(), q, g, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)

@@ -10,7 +10,7 @@ import (
 // whose doc comment carries //fastmatch:recoverbarrier are the pipeline's
 // recover barriers — the places a worker panic is converted into a typed
 // error instead of killing the process (host.runKernel, host.enumerateShare,
-// cst's pool worker). The analyzer keeps the directive honest and catches
+// host.pipeline.produce). The analyzer keeps the directive honest and catches
 // the two ways a barrier quietly stops working:
 //
 //   - a marked function must actually contain a deferred function literal

@@ -36,12 +36,12 @@ type callOptions struct {
 }
 
 // WithLimit stops the call after n embeddings. The count is exact and
-// deterministic — min(n, total) — regardless of Workers or
-// PartitionWorkers. A limit stop is a bounded query succeeding: the Result
-// comes back with Partial set and a nil error. n == 0 means unlimited, and
-// is an explicit override: under a Router graph's default limit,
-// WithLimit(0) lifts the call back to unlimited. A negative n fails the
-// call up front, before any planning — it is never silently normalised.
+// deterministic — min(n, total) — regardless of Workers. A limit stop is a
+// bounded query succeeding: the Result comes back with Partial set and a nil
+// error. n == 0 means unlimited, and is an explicit override: under a Router
+// graph's default limit, WithLimit(0) lifts the call back to unlimited. A
+// negative n fails the call up front, before any planning — it is never
+// silently normalised.
 func WithLimit(n int64) MatchOption {
 	return func(c *callOptions) {
 		c.limit = n

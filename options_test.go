@@ -144,3 +144,25 @@ func TestNegativeOptionValuesFailFast(t *testing.T) {
 		t.Errorf("AddGraph with negative default timeout: err = %v, want fast:-prefixed error", err)
 	}
 }
+
+// TestNegativeOptionsDeltaRejected: a negative Options.Delta is rejected at
+// every entry point whether or not DeltaSet marks it. The regression: δ was
+// range-checked only when DeltaSet was true or δ > 0, so a negative δ
+// without DeltaSet was silently replaced by the variant's default.
+func TestNegativeOptionsDeltaRejected(t *testing.T) {
+	g := engineTestGraph()
+	q, _ := ldbc.QueryByName("q1")
+	for _, set := range []bool{false, true} {
+		opts := &Options{Variant: VariantShare, Delta: -0.5, DeltaSet: set}
+		if _, err := NewEngine(g, opts); err == nil || !strings.HasPrefix(err.Error(), "fast:") {
+			t.Errorf("DeltaSet=%v: NewEngine err = %v, want fast:-prefixed error", set, err)
+		}
+		r := NewRouter(RouterOptions{Workers: 1})
+		if err := r.AddGraph("t", g, opts); err == nil || !strings.HasPrefix(err.Error(), "fast:") {
+			t.Errorf("DeltaSet=%v: Router.AddGraph err = %v, want fast:-prefixed error", set, err)
+		}
+		if _, err := MatchContext(context.Background(), q, g, opts); err == nil || !strings.HasPrefix(err.Error(), "fast:") {
+			t.Errorf("DeltaSet=%v: MatchContext err = %v, want fast:-prefixed error", set, err)
+		}
+	}
+}

@@ -29,8 +29,7 @@ type RouterOptions struct {
 	Workers int
 	// Engine is the default engine Options template for graphs added with
 	// a nil per-graph *Options. nil means VariantShare on the default
-	// device. Workers/PartitionWorkers left zero default to the router's
-	// shared budget size.
+	// device. Workers left zero defaults to the router's shared budget size.
 	Engine *Options
 	// MaxQueue bounds each tenant's admission queue: calls beyond a
 	// tenant's weighted budget share wait in a per-tenant FIFO of at most
@@ -268,12 +267,12 @@ func (r *Router) Workers() int { return r.workers }
 
 // AddGraph registers g under name. opts configures the graph's engine (nil
 // means the router's Engine template, else the package default); Workers
-// and PartitionWorkers left zero default to the shared budget size, and the
-// engine always draws its kernel tokens from the router's budget whatever
-// they are set to. defaults are the graph's standing MatchOptions — the
-// tenant's SLO, e.g. WithLimit/WithTimeout — applied under any per-call
-// overrides (an explicit WithLimit(0) lifts a default limit; a default
-// timeout can only be tightened, not lifted).
+// left zero defaults to the shared budget size, and the engine always draws
+// its kernel tokens from the router's budget whatever it is set to. defaults
+// are the graph's standing MatchOptions — the tenant's SLO, e.g.
+// WithLimit/WithTimeout — applied under any per-call overrides (an explicit
+// WithLimit(0) lifts a default limit; a default timeout can only be
+// tightened, not lifted).
 //
 // The engine itself is built lazily on the first match, so registering many
 // graphs is cheap. AddGraph fails if name is already registered — use

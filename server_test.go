@@ -26,6 +26,19 @@ func serverFixture(t *testing.T, workers, maxQueue int) (*Server, *Router, *grap
 	return NewServer(r, ServerOptions{QueryByName: ldbc.QueryByName}), r, gA
 }
 
+// queryEdges lists q's edges once each, in the wire shape of matchRequest.
+func queryEdges(q *graph.Query) [][2]int {
+	var edges [][2]int
+	for u := 0; u < q.NumVertices(); u++ {
+		for _, v := range q.Neighbors(u) {
+			if u < v {
+				edges = append(edges, [2]int{u, v})
+			}
+		}
+	}
+	return edges
+}
+
 func postJSON(t *testing.T, h http.Handler, url, body string) *httptest.ResponseRecorder {
 	t.Helper()
 	req := httptest.NewRequest(http.MethodPost, url, strings.NewReader(body))
@@ -58,16 +71,10 @@ func TestServerCount(t *testing.T) {
 
 	// The same query spelled out explicitly must agree.
 	var labels []graph.Label
-	var edges [][2]int
 	for u := 0; u < q1.NumVertices(); u++ {
 		labels = append(labels, q1.Label(u))
-		for _, v := range q1.Neighbors(u) {
-			if u < v {
-				edges = append(edges, [2]int{u, v})
-			}
-		}
 	}
-	body, _ := json.Marshal(matchRequest{Labels: labels, Edges: edges})
+	body, _ := json.Marshal(matchRequest{Labels: labels, Edges: queryEdges(q1)})
 	w = postJSON(t, s, "/v1/graphs/a/count", string(body))
 	if w.Code != http.StatusOK {
 		t.Fatalf("explicit query status %d, body %s", w.Code, w.Body)
@@ -96,6 +103,8 @@ func TestServerCount(t *testing.T) {
 // must reject before any matching work.
 func TestServerBadRequests(t *testing.T) {
 	s, _, _ := serverFixture(t, 2, 0)
+	big := pathQuery(t, 48)
+	oversize, _ := json.Marshal(matchRequest{Labels: make([]graph.Label, big.NumVertices()), Edges: queryEdges(big)})
 	for name, body := range map[string]string{
 		"empty":          `{}`,
 		"bad json":       `{"query":`,
@@ -105,6 +114,7 @@ func TestServerBadRequests(t *testing.T) {
 		"negative limit": `{"query":"q1","limit":-4}`,
 		"bad delta":      `{"query":"q1","delta":1.5}`,
 		"disconnected":   `{"labels":[0,1],"edges":[]}`,
+		"oversize query": string(oversize),
 	} {
 		w := postJSON(t, s, "/v1/graphs/a/count", body)
 		if w.Code != http.StatusBadRequest {
