@@ -29,24 +29,35 @@ func benchInput(b *testing.B, queryName string, basePersons int) (*CST, order.Or
 
 // BenchmarkCSTBuild measures Algorithm 1 (candidate filtering plus both
 // adjacency passes) — the host-side critical path the FPGA idles behind.
+// Base 1600 is the cold-planning sweep's graph and queries; there the
+// candidate sets run to thousands, and an adjacency pass that scales with
+// |C(from)|·|C(to)| instead of the kept edges shows.
 func BenchmarkCSTBuild(b *testing.B) {
-	for _, name := range []string{"q1", "q5"} {
-		g := ldbc.Generate(ldbc.Config{BasePersons: 200, Seed: 42})
-		q, err := ldbc.QueryByName(name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		root := order.SelectRoot(q, g)
-		tree := order.BuildBFSTree(q, root)
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				c := Build(q, g, tree)
-				if c.IsEmpty() {
-					b.Fatal("empty CST")
-				}
+	for _, sc := range []struct {
+		base    int
+		queries []string
+	}{
+		{200, []string{"q1", "q5"}},
+		{1600, []string{"q0", "q1", "q2", "q3", "q5"}},
+	} {
+		g := ldbc.Generate(ldbc.Config{BasePersons: sc.base, Seed: 42})
+		for _, name := range sc.queries {
+			q, err := ldbc.QueryByName(name)
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
+			root := order.SelectRoot(q, g)
+			tree := order.BuildBFSTree(q, root)
+			b.Run(fmt.Sprintf("base=%d/%s", sc.base, name), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					c := Build(q, g, tree)
+					if c.IsEmpty() {
+						b.Fatal("empty CST")
+					}
+				}
+			})
+		}
 	}
 }
 

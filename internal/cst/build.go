@@ -28,10 +28,11 @@ const parallelBuildMin = 1024
 // partition arrives), so every pass leans on the graph's label index:
 // candidate filtering scans only same-label vertices, the reachability
 // passes probe only same-label neighbourhood runs, and adjacency
-// construction intersects label-restricted runs instead of whole adjacency
-// lists. The result is identical to Build's for any worker count — each
-// pass marks serially, probes in order-preserving chunks, and the barrier
-// between passes keeps the level order of Algorithm 1.
+// construction probes label-restricted runs against a position table
+// instead of intersecting whole adjacency lists. The result is identical to
+// Build's for any worker count — each pass marks serially, probes in
+// order-preserving chunks, and the barrier between passes keeps the level
+// order of Algorithm 1.
 func BuildWorkers(q *graph.Query, g *graph.Graph, t *order.Tree, workers int) *CST {
 	if workers < 1 {
 		workers = 1
@@ -120,26 +121,15 @@ func BuildWorkers(q *graph.Query, g *graph.Graph, t *order.Tree, workers int) *C
 
 	// Build adjacency lists for tree edges and (lines 15-19) non-tree
 	// candidate neighbours, both directions, into the CST's flat CSR arenas.
-	// Candidate counts are final here, so the offsets arena is exact.
-	dir := directedEdges(t)
-	offTotal := 0
-	for _, e := range dir {
-		offTotal += len(c.Cand[e[0]]) + 1
-	}
-	for _, cands := range c.Cand {
-		c.sizeBytes += int64(len(cands)) * 4
-	}
-	asm := newAdjAssembler(offTotal, nil, len(dir))
-	for _, e := range dir {
-		c.buildAdjInto(g, e[0], e[1], &asm)
-	}
-	asm.finish(c)
+	// The stamps are dead once refinement ends, so the same array becomes
+	// the adjacency pass's position table.
+	c.buildAdjacency(g, directedEdges(t), stamp)
 	return c
 }
 
-// directedEdges lists both directions of every query edge, tree edges first
-// in BFS order — the construction order the dense adjacency table is filled
-// in.
+// directedEdges lists both directions of every query edge as adjacent
+// (a,b),(b,a) pairs, tree edges first in BFS order — the construction order
+// the dense adjacency table is filled in.
 func directedEdges(t *order.Tree) [][2]graph.QueryVertex {
 	dir := make([][2]graph.QueryVertex, 0, 2*(len(t.BFSOrder)-1+len(t.NonTreeEdges)))
 	for _, u := range t.BFSOrder {
@@ -234,53 +224,124 @@ func localCandidates(q *graph.Query, g *graph.Graph, u graph.QueryVertex) []grap
 	return out
 }
 
-// buildAdjInto fills the from → to adjacency by intersecting each
-// from-candidate's label-restricted data adjacency (the run of neighbours
-// labelled like `to`, a zero-copy subslice of the label index) with C(to).
-// Both inputs are sorted, so a merge intersection costs
-// O(d^label_G(v) + |C(to)|) per candidate. When the query edge carries a
-// label, only data edges with a matching half-edge label survive — the
-// edge-labeled extension of Section II. Rows land in the assembler's shared
-// arenas; the view is installed at finish time.
-func (c *CST) buildAdjInto(g *graph.Graph, from, to graph.QueryVertex, asm *adjAssembler) {
-	src, dst := c.Cand[from], c.Cand[to]
-	lt := c.Query.Label(to)
-	want := c.Query.EdgeLabel(from, to)
-	wantRev := c.Query.EdgeLabel(to, from)
-	off := asm.begin(len(src))
-	tgtLo := len(asm.tgt)
-	var maxDeg int32
-	for i, v := range src {
-		rowLo := len(asm.tgt)
-		adj, elabels := g.NeighborsWithLabelAndEdgeLabels(v, lt)
-		// Merge-intersect adj (sorted vertex ids within the label run) with
-		// dst (sorted ids, all labelled lt), emitting dst *indices*.
-		ai, di := 0, 0
-		for ai < len(adj) && di < len(dst) {
-			switch {
-			case adj[ai] < dst[di]:
-				ai++
-			case adj[ai] > dst[di]:
-				di++
-			default:
-				// Both half-edge labels must match so that enumerating via
-				// either direction of this adjacency enforces the full
-				// (possibly direction-encoded) constraint.
-				ok := want == graph.WildcardEdgeLabel || elabels == nil || elabels[ai] == want
-				if ok && wantRev != graph.WildcardEdgeLabel && elabels != nil {
-					ok = g.HasEdgeLabeled(adj[ai], v, wantRev)
-				}
-				if ok {
-					asm.tgt = append(asm.tgt, CandIndex(di))
-				}
-				ai++
-				di++
+// buildAdjacency fills the CSR adjacency of every directed edge in dir —
+// (a,b),(b,a) pairs — into one exactly sized offsets arena and one exactly
+// sized targets arena, then folds the partition statistics into c. Each pair
+// probes only a → b, twice: the first pass counts every row of both
+// directions, the second writes the a → b rows and derives b → a by a
+// counting-sort transpose. pos is scratch of at least |V(G)| entries; its
+// contents on entry do not matter.
+//
+// One build costs O(Σ label-run degree + Σ|C(u)| + kept edges): every probe
+// is O(1), whatever the size of C(b).
+func (c *CST) buildAdjacency(g *graph.Graph, dir [][2]graph.QueryVertex, pos []uint32) {
+	for _, cands := range c.Cand {
+		c.sizeBytes += int64(len(cands)) * 4
+	}
+	offTotal := 0
+	for _, e := range dir {
+		offTotal += len(c.Cand[e[0]]) + 1
+	}
+	offArena := make([]int32, offTotal)
+	offLo, tgtTotal := 0, 0
+	carve := func(n int) []int32 {
+		s := offArena[offLo : offLo+n : offLo+n]
+		offLo += n
+		return s
+	}
+	for k := 0; k < len(dir); k += 2 {
+		a, b := dir[k][0], dir[k][1]
+		fwd := carve(len(c.Cand[a]) + 1)
+		rev := carve(len(c.Cand[b]) + 1)
+		fwdMax := c.probeRows(g, a, b, pos, fwd, rev, nil)
+		var revMax int32
+		for j := 1; j < len(rev); j++ {
+			revMax = max(revMax, rev[j])
+			rev[j] += rev[j-1]
+		}
+		c.setAdj(a, b, Adj{Offsets: fwd, maxDeg: fwdMax})
+		c.setAdj(b, a, Adj{Offsets: rev, maxDeg: revMax})
+		tgtTotal += 2 * int(fwd[len(fwd)-1])
+	}
+
+	tgtArena := make([]CandIndex, tgtTotal)
+	tgtLo := 0
+	for k := 0; k < len(dir); k += 2 {
+		a, b := dir[k][0], dir[k][1]
+		fwd, rev := c.edgeRef(a, b), c.edgeRef(b, a)
+		n := int(fwd.Offsets[len(fwd.Offsets)-1])
+		fwd.Targets = tgtArena[tgtLo : tgtLo+n : tgtLo+n]
+		rev.Targets = tgtArena[tgtLo+n : tgtLo+2*n : tgtLo+2*n]
+		tgtLo += 2 * n
+		c.probeRows(g, a, b, pos, fwd.Offsets, nil, fwd.Targets)
+		// Transpose: walking the a-candidates in ascending order appends each
+		// reverse row in ascending order too. pos is free again, so its
+		// prefix serves as the per-row write cursor.
+		cur := pos[:len(c.Cand[b])]
+		for j := range cur {
+			cur[j] = uint32(rev.Offsets[j])
+		}
+		for i := 0; i+1 < len(fwd.Offsets); i++ {
+			for _, j := range fwd.Targets[fwd.Offsets[i]:fwd.Offsets[i+1]] {
+				rev.Targets[cur[j]] = CandIndex(i)
+				cur[j]++
 			}
 		}
-		off[i+1] = int32(len(asm.tgt) - tgtLo)
-		if d := int32(len(asm.tgt) - rowLo); d > maxDeg {
-			maxDeg = d
+		c.sizeBytes += int64(len(fwd.Offsets)+len(rev.Offsets)+2*n) * 4
+		c.maxDeg = max(c.maxDeg, int(fwd.maxDeg), int(rev.maxDeg))
+	}
+}
+
+// probeRows intersects each a-candidate's label-restricted data adjacency
+// (the run of neighbours labelled like b, a zero-copy subslice of the label
+// index) with C(b). pos is loaded as a sparse set — pos[C(b)[j]] = j — so
+// neighbour w is in C(b) iff j := pos[w] is in range and C(b)[j] == w; stale
+// entries from earlier edges fail that check and nothing is ever cleared.
+// When the query edge carries a label, only data edges whose half-edge
+// labels match both directions survive (the edge-labeled extension of
+// Section II), which makes the kept relation symmetric: b → a is exactly
+// its transpose.
+//
+// With tgt nil, probeRows counts: fwd receives the a → b offsets, rev[j+1]
+// the length of reverse row j, and the longest forward row is returned.
+// Otherwise fwd already holds the offsets and the rows are written into
+// tgt, each ascending because the label run and C(b) are both sorted.
+func (c *CST) probeRows(g *graph.Graph, a, b graph.QueryVertex, pos []uint32, fwd, rev []int32, tgt []CandIndex) int32 {
+	src, dst := c.Cand[a], c.Cand[b]
+	for j, w := range dst {
+		pos[w] = uint32(j)
+	}
+	lt := c.Query.Label(b)
+	want := c.Query.EdgeLabel(a, b)
+	wantRev := c.Query.EdgeLabel(b, a)
+	var maxDeg int32
+	for i, v := range src {
+		adj, elabels := g.NeighborsWithLabelAndEdgeLabels(v, lt)
+		n := fwd[i]
+		for k, w := range adj {
+			j := pos[w]
+			if int(j) >= len(dst) || dst[j] != w {
+				continue
+			}
+			if elabels != nil {
+				if want != graph.WildcardEdgeLabel && elabels[k] != want {
+					continue
+				}
+				if wantRev != graph.WildcardEdgeLabel && !g.HasEdgeLabeled(w, v, wantRev) {
+					continue
+				}
+			}
+			if tgt != nil {
+				tgt[n] = CandIndex(j)
+			} else {
+				rev[j+1]++
+			}
+			n++
+		}
+		if tgt == nil {
+			fwd[i+1] = n
+			maxDeg = max(maxDeg, n-fwd[i])
 		}
 	}
-	asm.commit(from, to, len(src), tgtLo, maxDeg)
+	return maxDeg
 }

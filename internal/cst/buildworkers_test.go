@@ -55,11 +55,14 @@ func requireSameCST(t *testing.T, a, b *CST) {
 					t.Fatalf("edge %d->%d: target %d differs", from, to, i)
 				}
 			}
+			if ea.maxDeg != eb.maxDeg {
+				t.Fatalf("edge %d->%d: maxDeg %d vs %d", from, to, ea.maxDeg, eb.maxDeg)
+			}
 		}
 	}
 	if a.SizeBytes() != b.SizeBytes() || a.MaxCandDegree() != b.MaxCandDegree() {
 		t.Fatalf("stats differ: size %d vs %d, maxDeg %d vs %d",
-			a.SizeBytes(), b.SizeBytes(), b.MaxCandDegree(), b.MaxCandDegree())
+			a.SizeBytes(), b.SizeBytes(), a.MaxCandDegree(), b.MaxCandDegree())
 	}
 }
 
@@ -92,8 +95,25 @@ func TestBuildWorkersMatchesSequential(t *testing.T) {
 // whose candidate counts straddle the parallel threshold, so both the
 // serial fallback and the chunked path are exercised.
 func TestBuildWorkersRandomGraphs(t *testing.T) {
+	q, err := ldbc.QueryByName("q1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range buildRandomGraphs() {
+		tr := order.BuildBFSTree(q, order.SelectRoot(q, g))
+		want := Build(q, g, tr)
+		got := BuildWorkers(q, g, tr, 4)
+		requireSameCST(t, want, got)
+	}
+}
+
+// buildRandomGraphs returns 20 seeded random graphs of 50–2049 vertices and
+// 1–3 vertex labels: candidate counts straddle the parallel threshold, and
+// few labels make most neighbours candidates of several query vertices.
+func buildRandomGraphs() []*graph.Graph {
 	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 20; trial++ {
+	gs := make([]*graph.Graph, 20)
+	for trial := range gs {
 		n := 50 + rng.Intn(2000)
 		labels := 1 + rng.Intn(3)
 		b := graph.NewBuilder(n, labels)
@@ -106,16 +126,9 @@ func TestBuildWorkersRandomGraphs(t *testing.T) {
 				b.AddEdge(graph.VertexID(u), graph.VertexID(v))
 			}
 		}
-		g := b.MustBuild()
-		q, err := ldbc.QueryByName("q1")
-		if err != nil {
-			t.Fatal(err)
-		}
-		tr := order.BuildBFSTree(q, order.SelectRoot(q, g))
-		want := Build(q, g, tr)
-		got := BuildWorkers(q, g, tr, 4)
-		requireSameCST(t, want, got)
+		gs[trial] = b.MustBuild()
 	}
+	return gs
 }
 
 // TestBuildWorkersConcurrentBuilds runs several parallel builds at once over

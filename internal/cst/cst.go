@@ -312,13 +312,16 @@ type pendingAdj struct {
 	maxDeg       int32
 }
 
-// adjAssembler accumulates the CSR adjacency of every edge a CST owns into
-// two flat arenas: an exactly pre-sized offsets arena (candidate counts are
-// final before adjacency construction starts) and an append-grown targets
-// buffer. finish copies the targets into an exactly-sized arena, installs
-// the per-edge views, and folds the partition statistics into the CST —
-// so a built CST performs O(1) allocations for all of its adjacency, and
-// restrict can reuse the grow buffer across pieces via restrictScratch.
+// adjAssembler accumulates the CSR adjacency of every edge a restricted
+// piece rebuilds into two flat arenas: an exactly pre-sized offsets arena
+// (candidate counts are final before adjacency construction starts) and an
+// append-grown targets buffer. finish copies the targets into an
+// exactly-sized arena, installs the per-edge views, and folds the partition
+// statistics into the CST — so a piece performs O(1) allocations for all of
+// its adjacency, and restrict reuses the grow buffer across pieces via
+// restrictScratch; the buffer itself never becomes a CST's Targets. Build
+// does not use it: it counts every row before writing, so it fills exactly
+// sized arenas directly (buildAdjacency).
 type adjAssembler struct {
 	off    []int32
 	tgt    []CandIndex
