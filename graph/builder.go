@@ -103,6 +103,8 @@ func (b *Builder) Build() (*Graph, error) {
 	for v := 0; v < n; v++ {
 		offsets[v+1] = offsets[v] + deg[v+1]
 	}
+	// Edges are sorted by (min, max) endpoint, so this fill leaves every
+	// adjacency id-sorted: lower neighbours first, then higher ones.
 	neighbors := make([]VertexID, offsets[n])
 	cursor := make([]int64, n)
 	copy(cursor, offsets[:n])
@@ -111,14 +113,6 @@ func (b *Builder) Build() (*Graph, error) {
 		cursor[e[0]]++
 		neighbors[cursor[e[1]]] = e[0]
 		cursor[e[1]]++
-	}
-	maxDeg := 0
-	for v := 0; v < n; v++ {
-		adj := neighbors[offsets[v]:offsets[v+1]]
-		sort.Slice(adj, func(i, j int) bool { return adj[i] < adj[j] })
-		if len(adj) > maxDeg {
-			maxDeg = len(adj)
-		}
 	}
 	numLabels := int(b.maxLabel) + 1
 	if n == 0 {
@@ -134,7 +128,12 @@ func (b *Builder) Build() (*Graph, error) {
 		labels:    b.labels,
 		byLabel:   byLabel,
 		numLabels: numLabels,
-		maxDegree: maxDeg,
+		runOff:    make([]int64, n+1),
+	}
+	var buf []halfEdge
+	for v := 0; v < n; v++ {
+		buf = g.groupByLabel(v, buf)
+		g.maxDegree = max(g.maxDegree, g.Degree(VertexID(v)))
 	}
 	if b.edgeLabels != nil {
 		g.edgeLabels = make([]EdgeLabel, len(neighbors))
@@ -145,7 +144,6 @@ func (b *Builder) Build() (*Graph, error) {
 			}
 		}
 	}
-	g.buildLabelIndex()
 	return g, nil
 }
 

@@ -68,9 +68,9 @@ func (g *Graph) NumDeleted() int { return g.numDeleted }
 // LiveVertices returns the number of non-tombstoned vertices.
 func (g *Graph) LiveVertices() int { return g.NumVertices() - g.numDeleted }
 
-// nbAdd is one added half-edge: neighbour and (for edge-labeled graphs) the
-// half-edge label.
-type nbAdd struct {
+// halfEdge is one half-edge of a vertex: neighbour and (for edge-labeled
+// graphs) the half-edge label.
+type halfEdge struct {
 	w VertexID
 	l EdgeLabel
 }
@@ -83,10 +83,10 @@ type nbAdd struct {
 // modified in any way: in-flight readers of the old epoch stay consistent,
 // which is the copy-on-write MVCC contract the serving stack builds on.
 //
-// Cost is one pass over the CSR arrays: unchanged vertices have their
-// adjacency spans and label-index runs copied verbatim (the label index is
-// maintained incrementally, never rebuilt from scratch), and only dirty
-// vertices pay the merge and re-grouping work.
+// Cost is one pass over the CSR arrays: an unchanged vertex has its
+// adjacency span and label runs copied once (run starts shifted by its
+// offset change), and only dirty vertices pay a merge, keyed on (label, id),
+// and re-derive their runs.
 //
 // An invalid batch — out-of-range or tombstoned endpoints, self loops,
 // duplicate or conflicting operations, inserting an existing edge, deleting
@@ -170,14 +170,14 @@ func (g *Graph) ApplyDelta(d Delta) (*Graph, []VertexID, error) {
 
 	// Per-vertex change lists. addN/delN are keyed only by dirty vertices,
 	// so the maps stay proportional to the batch, not the graph.
-	addN := make(map[VertexID][]nbAdd)
+	addN := make(map[VertexID][]halfEdge)
 	for i, e := range d.AddEdges {
 		var l EdgeLabel
 		if len(d.AddEdgeLabels) > 0 {
 			l = d.AddEdgeLabels[i]
 		}
-		addN[e[0]] = append(addN[e[0]], nbAdd{w: e[1], l: l})
-		addN[e[1]] = append(addN[e[1]], nbAdd{w: e[0], l: l})
+		addN[e[0]] = append(addN[e[0]], halfEdge{w: e[1], l: l})
+		addN[e[1]] = append(addN[e[1]], halfEdge{w: e[0], l: l})
 	}
 	delN := make(map[VertexID][]VertexID)
 	for _, e := range d.DelEdges {
@@ -191,15 +191,6 @@ func (g *Graph) ApplyDelta(d Delta) (*Graph, []VertexID, error) {
 			}
 		}
 	}
-	for v := range addN {
-		adds := addN[v]
-		sort.Slice(adds, func(i, j int) bool { return adds[i].w < adds[j].w })
-	}
-	for v := range delN {
-		dels := delN[v]
-		sort.Slice(dels, func(i, j int) bool { return dels[i] < dels[j] })
-	}
-
 	// The dirty set: every vertex whose adjacency (or existence) changes.
 	dirty := make(map[VertexID]bool, len(addN)+len(delN)+len(delV)+len(d.AddVertices))
 	for v := range addN {
@@ -229,6 +220,15 @@ func (g *Graph) ApplyDelta(d Delta) (*Graph, []VertexID, error) {
 		if int(l)+1 > numLabels {
 			numLabels = int(l) + 1
 		}
+	}
+	g2 := &Graph{labels: labels, numLabels: numLabels, epoch: g.epoch + 1}
+
+	// Change lists in adjacency order, (label, id), for the merge below.
+	for _, adds := range addN {
+		sort.Slice(adds, func(i, j int) bool { return g2.before(adds[i].w, adds[j].w) })
+	}
+	for _, dels := range delN {
+		sort.Slice(dels, func(i, j int) bool { return g2.before(dels[i], dels[j]) })
 	}
 
 	// Tombstones.
@@ -262,48 +262,51 @@ func (g *Graph) ApplyDelta(d Delta) (*Graph, []VertexID, error) {
 			maxDeg = deg
 		}
 	}
-	neighbors := make([]VertexID, offsets[n])
-	var elab []EdgeLabel
+	g2.offsets, g2.maxDegree = offsets, maxDeg
+	g2.neighbors = make([]VertexID, offsets[n])
 	if g.edgeLabels != nil {
-		elab = make([]EdgeLabel, offsets[n])
+		g2.edgeLabels = make([]EdgeLabel, offsets[n])
 	}
+	g2.runOff = make([]int64, n+1)
+	g2.runLabels = make([]Label, 0, len(g.runLabels)+2*len(dirty))
+	g2.runStarts = make([]int64, 0, len(g.runStarts)+2*len(dirty))
 	for v := 0; v < n; v++ {
 		vid := VertexID(v)
-		dst := neighbors[offsets[v]:offsets[v+1]]
+		dst, dstLab := g2.Neighbors(vid), g2.EdgeLabels(vid)
 		if v < nOld && !dirty[vid] {
-			// Clean vertex: adjacency span copied verbatim.
+			// Clean vertex: adjacency span and label runs copied once, run
+			// starts shifted by the change in its offset.
 			copy(dst, g.Neighbors(vid))
-			if elab != nil {
-				copy(elab[offsets[v]:offsets[v+1]], g.edgeLabels[g.offsets[v]:g.offsets[v+1]])
+			copy(dstLab, g.EdgeLabels(vid))
+			shift := offsets[v] - g.offsets[v]
+			rs, re := g.runOff[v], g.runOff[v+1]
+			g2.runLabels = append(g2.runLabels, g.runLabels[rs:re]...)
+			for _, p := range g.runStarts[rs:re] {
+				g2.runStarts = append(g2.runStarts, p+shift)
 			}
+			g2.runOff[v+1] = int64(len(g2.runLabels))
 			continue
 		}
 		if delV[vid] || (v < nOld && g.Deleted(vid)) {
-			continue // tombstone: no adjacency
+			g2.runOff[v+1] = g2.runOff[v] // tombstone: no adjacency, no runs
+			continue
 		}
-		// Dirty vertex: sorted merge of (old adjacency minus removals) with
-		// the sorted additions.
+		// Dirty vertex: one merge, keyed on (label, id), of the old
+		// adjacency minus removals with the additions.
 		var old []VertexID
 		var oldLab []EdgeLabel
 		if v < nOld {
-			old = g.Neighbors(vid)
-			if elab != nil {
-				oldLab = g.edgeLabels[g.offsets[v]:g.offsets[v+1]]
-			}
+			old, oldLab = g.Neighbors(vid), g.EdgeLabels(vid)
 		}
 		adds := addN[vid]
 		dels := delN[vid]
 		var di, ai, out int
-		var dstLab []EdgeLabel
-		if elab != nil {
-			dstLab = elab[offsets[v]:offsets[v+1]]
-		}
 		for i, w := range old {
 			if di < len(dels) && dels[di] == w {
 				di++
 				continue
 			}
-			for ai < len(adds) && adds[ai].w < w {
+			for ai < len(adds) && g2.before(adds[ai].w, w) {
 				dst[out] = adds[ai].w
 				if dstLab != nil {
 					dstLab[out] = adds[ai].l
@@ -324,6 +327,7 @@ func (g *Graph) ApplyDelta(d Delta) (*Graph, []VertexID, error) {
 			}
 			out++
 		}
+		g2.appendRuns(v)
 	}
 
 	// Per-label vertex lists: the outer slice is fresh, untouched labels
@@ -357,18 +361,7 @@ func (g *Graph) ApplyDelta(d Delta) (*Graph, []VertexID, error) {
 		byLabel[l] = append(lst, newByLbl[l]...)
 	}
 
-	g2 := &Graph{
-		offsets:    offsets,
-		neighbors:  neighbors,
-		labels:     labels,
-		byLabel:    byLabel,
-		numLabels:  numLabels,
-		maxDegree:  maxDeg,
-		edgeLabels: elab,
-		deleted:    deleted,
-		numDeleted: numDeleted,
-		epoch:      g.epoch + 1,
-	}
-	g2.updateLabelIndexFrom(g, dirty)
+	g2.byLabel = byLabel
+	g2.deleted, g2.numDeleted = deleted, numDeleted
 	return g2, touched, nil
 }

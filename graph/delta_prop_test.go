@@ -67,8 +67,8 @@ func (m *deltaModel) apply(d Delta) {
 	}
 }
 
-// neighbors returns v's expected sorted adjacency with aligned half-edge
-// labels.
+// neighbors returns v's expected adjacency, in (label, id) order, with
+// aligned half-edge labels.
 func (m *deltaModel) neighbors(v VertexID) ([]VertexID, []EdgeLabel) {
 	var ns []VertexID
 	lab := make(map[VertexID]EdgeLabel)
@@ -82,7 +82,12 @@ func (m *deltaModel) neighbors(v VertexID) ([]VertexID, []EdgeLabel) {
 			lab[k[0]] = l
 		}
 	}
-	sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] })
+	sort.Slice(ns, func(i, j int) bool {
+		if li, lj := m.labels[ns[i]], m.labels[ns[j]]; li != lj {
+			return li < lj
+		}
+		return ns[i] < ns[j]
+	})
 	var ls []EdgeLabel
 	if m.labeled {
 		ls = make([]EdgeLabel, len(ns))
@@ -118,7 +123,7 @@ func (m *deltaModel) oracleGraph(t testing.TB) *Graph {
 
 // checkAgainstModel compares the incrementally maintained graph against the
 // model and the scratch-rebuilt oracle: structure, per-label lists, the
-// label-run index (vs the oracle's independently built one), and Validate.
+// label runs (vs the oracle's independently built ones), and Validate.
 func checkAgainstModel(t testing.TB, g *Graph, m *deltaModel) {
 	t.Helper()
 	if err := g.Validate(); err != nil {
@@ -164,7 +169,7 @@ func checkAgainstModel(t testing.TB, g *Graph, m *deltaModel) {
 				}
 			}
 		}
-		// Label-index equality against the oracle's independent build: the
+		// Label-run equality against the oracle's independent build: the
 		// per-label runs must agree for every label either side knows.
 		for l := 0; l < maxL; l++ {
 			got := g.NeighborsWithLabel(vid, Label(l), nil)

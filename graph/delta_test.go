@@ -47,6 +47,7 @@ func TestDeltaApplyBasic(t *testing.T) {
 			t.Fatalf("touched = %v, want %v", touched, wantTouched)
 		}
 	}
+	// Adjacency in (label, id) order; labels are [0,1,0,1,2,2].
 	wantAdj := map[VertexID][]VertexID{
 		0: {1, 5},
 		1: {0, 4},
@@ -151,7 +152,7 @@ func TestDeltaApplyEdgeLabels(t *testing.T) {
 			t.Errorf("EdgeLabelBetween(%d,%d) = %d,%v want %d", tc.u, tc.v, l, ok, tc.want)
 		}
 	}
-	// The label index carries the half-edge labels of the new epoch.
+	// The label runs carry the half-edge labels of the new epoch.
 	nbrs, labs := g2.NeighborsWithLabelAndEdgeLabels(0, 1)
 	if len(nbrs) != 2 || nbrs[0] != 2 || nbrs[1] != 3 || labs[0] != 7 || labs[1] != 5 {
 		t.Errorf("NeighborsWithLabelAndEdgeLabels(0,1) = %v %v", nbrs, labs)
@@ -247,8 +248,15 @@ func TestDeltaValidateCatchesCorruption(t *testing.T) {
 	}
 
 	g = fresh()
-	g.lidx.runStarts[0]++ // break a label-index run start
+	g.runStarts[0]++ // break a label-run start
 	if err := g.Validate(); err == nil {
-		t.Errorf("corrupt label index: Validate = nil, want error")
+		t.Errorf("corrupt label run: Validate = nil, want error")
+	}
+
+	g = fresh()
+	adj := g.Neighbors(1) // {0, 2}, both labelled 0
+	adj[0], adj[1] = adj[1], adj[0]
+	if err := g.Validate(); err == nil || !strings.Contains(err.Error(), "(label, id)") {
+		t.Errorf("adjacency out of (label, id) order: Validate = %v", err)
 	}
 }

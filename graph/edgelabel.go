@@ -15,7 +15,8 @@ type EdgeLabel = uint16
 const WildcardEdgeLabel EdgeLabel = 0
 
 // EdgeLabels returns the labels of v's half-edges, aligned with
-// Neighbors(v). Nil when the graph is edge-unlabeled.
+// Neighbors(v) and so in the same label-major order. Nil when the graph is
+// edge-unlabeled.
 func (g *Graph) EdgeLabels(v VertexID) []EdgeLabel {
 	if g.edgeLabels == nil {
 		return nil
@@ -27,25 +28,16 @@ func (g *Graph) EdgeLabels(v VertexID) []EdgeLabel {
 func (g *Graph) EdgeLabeled() bool { return g.edgeLabels != nil }
 
 // EdgeLabelBetween returns the label of the half-edge u→v; ok is false when
-// the edge does not exist.
+// the edge does not exist. It binary-searches u's run of v's label.
 func (g *Graph) EdgeLabelBetween(u, v VertexID) (EdgeLabel, bool) {
-	adj := g.Neighbors(u)
-	lo, hi := 0, len(adj)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if adj[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo >= len(adj) || adj[lo] != v {
+	i, ok := g.find(u, v)
+	if !ok {
 		return 0, false
 	}
 	if g.edgeLabels == nil {
 		return WildcardEdgeLabel, true
 	}
-	return g.edgeLabels[g.offsets[u]+int64(lo)], true
+	return g.edgeLabels[i], true
 }
 
 // HasEdgeLabeled reports whether (u,v) exists and its u→v label matches

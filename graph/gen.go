@@ -105,7 +105,8 @@ func RandomConnectedQuery(name string, nv, extraEdges, numLabels int, rng *rand.
 
 // SampleEdges returns a new graph keeping every vertex of g but only a
 // uniform fraction of its edges (Fig. 17's |E(G)| scalability experiment).
-// fraction is clamped to [0,1]; the sample is deterministic in seed.
+// fraction is clamped to [0,1]; the sample is deterministic in seed: one
+// draw per edge, edges taken by ascending (u, v) id.
 func SampleEdges(g *Graph, fraction float64, seed int64) *Graph {
 	if fraction >= 1 {
 		return g
@@ -118,38 +119,14 @@ func SampleEdges(g *Graph, fraction float64, seed int64) *Graph {
 	for v := 0; v < g.NumVertices(); v++ {
 		b.AddVertex(g.Label(VertexID(v)))
 	}
+	var adj []halfEdge
 	for v := 0; v < g.NumVertices(); v++ {
-		for _, w := range g.Neighbors(VertexID(v)) {
-			if VertexID(v) < w && rng.Float64() < fraction {
-				b.AddEdge(VertexID(v), w)
+		adj = g.idOrder(VertexID(v), adj)
+		for _, h := range adj {
+			if VertexID(v) < h.w && rng.Float64() < fraction {
+				b.AddEdge(VertexID(v), h.w)
 			}
 		}
 	}
 	return b.MustBuild()
-}
-
-// InducedSubgraph returns the subgraph of g induced by keep (a vertex
-// predicate), together with the mapping from new ids to old ids.
-func InducedSubgraph(g *Graph, keep func(VertexID) bool) (*Graph, []VertexID) {
-	oldToNew := make(map[VertexID]VertexID)
-	var newToOld []VertexID
-	for v := 0; v < g.NumVertices(); v++ {
-		if keep(VertexID(v)) {
-			oldToNew[VertexID(v)] = VertexID(len(newToOld))
-			newToOld = append(newToOld, VertexID(v))
-		}
-	}
-	b := NewBuilder(len(newToOld), g.NumEdges())
-	for _, old := range newToOld {
-		b.AddVertex(g.Label(old))
-	}
-	for _, old := range newToOld {
-		nu := oldToNew[old]
-		for _, w := range g.Neighbors(old) {
-			if nw, ok := oldToNew[w]; ok && nu < nw {
-				b.AddEdge(nu, nw)
-			}
-		}
-	}
-	return b.MustBuild(), newToOld
 }

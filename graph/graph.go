@@ -5,12 +5,17 @@
 // benchmark generator) operates on.
 //
 // Vertices are dense uint32 identifiers in [0, NumVertices). Every vertex
-// carries exactly one label. Adjacency lists are sorted, which makes edge
-// lookups O(log d) and set intersections linear.
+// carries exactly one label. Each adjacency list is stored once, in
+// label-major order: grouped into runs by neighbour label, runs in
+// ascending label order, ids ascending within a run. A table of those runs
+// makes the per-label probes of candidate filtering and CST construction
+// subslice reads, and an edge lookup a binary search over one run.
 package graph
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -24,7 +29,7 @@ type Label = uint16
 // Construct one with a Builder, a loader from the io files, or a generator.
 type Graph struct {
 	offsets   []int64    // len = n+1; adjacency of v is neighbors[offsets[v]:offsets[v+1]]
-	neighbors []VertexID // sorted within each vertex's range
+	neighbors []VertexID // (label, id) order within each vertex's range
 	labels    []Label    // len = n
 	byLabel   [][]VertexID
 	numLabels int
@@ -32,10 +37,13 @@ type Graph struct {
 	// edgeLabels, when non-nil, is aligned with neighbors: the label of
 	// half-edge v→neighbors[i] is edgeLabels[i] (see edgelabel.go).
 	edgeLabels []EdgeLabel
-	// lidx groups every vertex's adjacency into label runs (labelindex.go)
-	// so per-label neighbourhood probes are subslice reads, not filter
-	// scans. Built once by every constructor.
-	lidx *labelIndex
+	// Label runs: those of v are [runOff[v], runOff[v+1]); run k holds the
+	// neighbours labelled runLabels[k] and starts at neighbors[runStarts[k]]
+	// (it ends where v's next run starts, or at offsets[v+1]). int64 like
+	// offsets: runs are bounded by half-edges, which exceed int32.
+	runOff    []int64 // len = n+1
+	runLabels []Label
+	runStarts []int64
 	// deleted marks tombstoned vertices (delta.go); nil until the first
 	// vertex delete, so static graphs pay nothing. A tombstone keeps its id
 	// (embeddings stay comparable across epochs) but has no adjacency and
@@ -75,21 +83,89 @@ func (g *Graph) AvgDegree() float64 {
 	return float64(len(g.neighbors)) / float64(g.NumVertices())
 }
 
-// Neighbors returns the sorted adjacency list of v. The returned slice
-// aliases the graph's storage and must not be modified.
+// Neighbors returns the adjacency list of v in label-major order: grouped
+// by neighbour label, labels ascending, ids ascending within a label. The
+// returned slice aliases the graph's storage and must not be modified.
 func (g *Graph) Neighbors(v VertexID) []VertexID {
 	return g.neighbors[g.offsets[v]:g.offsets[v+1]]
 }
 
-// HasEdge reports whether (u, v) ∈ E(G). It binary-searches the shorter
-// adjacency list of the two endpoints.
+// HasEdge reports whether (u, v) ∈ E(G). It binary-searches one label run:
+// the run of the lower-degree endpoint holding the other endpoint's label.
 func (g *Graph) HasEdge(u, v VertexID) bool {
 	if g.Degree(u) > g.Degree(v) {
 		u, v = v, u
 	}
-	adj := g.Neighbors(u)
-	i := sort.Search(len(adj), func(i int) bool { return adj[i] >= v })
-	return i < len(adj) && adj[i] == v
+	_, ok := g.find(u, v)
+	return ok
+}
+
+// find returns the index in neighbors of the half-edge u→v, searching u's
+// run of v's label; ok is false when the edge does not exist.
+func (g *Graph) find(u, v VertexID) (int64, bool) {
+	lo, hi := g.labelRun(u, g.labels[v])
+	i := lo + int64(sort.Search(int(hi-lo), func(i int) bool { return g.neighbors[lo+int64(i)] >= v }))
+	return i, i < hi && g.neighbors[i] == v
+}
+
+// labelRun returns the [lo, hi) extent in neighbors holding v's neighbours
+// labelled l; lo == hi when v has none.
+func (g *Graph) labelRun(v VertexID, l Label) (int64, int64) {
+	rs, re := int(g.runOff[v]), int(g.runOff[v+1])
+	labels := g.runLabels[rs:re]
+	k := sort.Search(len(labels), func(k int) bool { return labels[k] >= l })
+	if k == len(labels) || labels[k] != l {
+		return 0, 0
+	}
+	if rs+k+1 < re {
+		return g.runStarts[rs+k], g.runStarts[rs+k+1]
+	}
+	return g.runStarts[rs+k], g.offsets[v+1]
+}
+
+// before reports whether neighbour a precedes neighbour b in adjacency
+// order: by label, then by id.
+func (g *Graph) before(a, b VertexID) bool {
+	if g.labels[a] != g.labels[b] {
+		return g.labels[a] < g.labels[b]
+	}
+	return a < b
+}
+
+// appendRuns appends the label runs of v's adjacency, already in (label,
+// id) order, and closes v's range of runs.
+func (g *Graph) appendRuns(v int) {
+	for p := g.offsets[v]; p < g.offsets[v+1]; p++ {
+		if l := g.labels[g.neighbors[p]]; p == g.offsets[v] || l != g.labels[g.neighbors[p-1]] {
+			g.runLabels = append(g.runLabels, l)
+			g.runStarts = append(g.runStarts, p)
+		}
+	}
+	g.runOff[v+1] = int64(len(g.runLabels))
+}
+
+// groupByLabel reorders v's adjacency, id-sorted on entry, into (label, id)
+// order by a stable sort on the neighbour label, carrying the half-edge
+// labels along, and appends v's label runs. buf is reusable scratch.
+func (g *Graph) groupByLabel(v int, buf []halfEdge) []halfEdge {
+	lo := g.offsets[v]
+	buf = buf[:0]
+	for p := lo; p < g.offsets[v+1]; p++ {
+		h := halfEdge{w: g.neighbors[p]}
+		if g.edgeLabels != nil {
+			h.l = g.edgeLabels[p]
+		}
+		buf = append(buf, h)
+	}
+	slices.SortStableFunc(buf, func(a, b halfEdge) int { return cmp.Compare(g.labels[a.w], g.labels[b.w]) })
+	for i, h := range buf {
+		g.neighbors[lo+int64(i)] = h.w
+		if g.edgeLabels != nil {
+			g.edgeLabels[lo+int64(i)] = h.l
+		}
+	}
+	g.appendRuns(v)
+	return buf
 }
 
 // VerticesWithLabel returns all vertices carrying label l, in ascending
@@ -105,9 +181,8 @@ func (g *Graph) VerticesWithLabel(l Label) []VertexID {
 func (g *Graph) LabelFrequency(l Label) int { return len(g.VerticesWithLabel(l)) }
 
 // NeighborsWithLabel returns the neighbours of v whose label is l, sorted
-// ascending. With a nil dst the result is a zero-copy subslice of the label
-// index and must not be modified; a non-nil dst gets the run appended, as
-// before the index existed.
+// ascending. With a nil dst the result is a zero-copy subslice of v's label
+// run and must not be modified; a non-nil dst gets the run appended.
 func (g *Graph) NeighborsWithLabel(v VertexID, l Label, dst []VertexID) []VertexID {
 	lo, hi := g.labelRun(v, l)
 	if dst == nil {
@@ -115,15 +190,28 @@ func (g *Graph) NeighborsWithLabel(v VertexID, l Label, dst []VertexID) []Vertex
 			return nil
 		}
 		// Full-slice expression: an append by the caller copies instead of
-		// writing into the shared index.
-		return g.lidx.nbrs[lo:hi:hi]
+		// writing into the shared adjacency.
+		return g.neighbors[lo:hi:hi]
 	}
-	return append(dst, g.lidx.nbrs[lo:hi]...)
+	return append(dst, g.neighbors[lo:hi]...)
 }
 
-// DegreeWithLabel counts neighbours of v labelled l — one run-length read
-// against the label index. Used by the neighbourhood-label-frequency (NLF)
-// candidate filter.
+// NeighborsWithLabelAndEdgeLabels returns v's neighbours labelled l together
+// with the matching half-edge labels (nil for edge-unlabeled graphs), both
+// aliasing the graph's storage. Ids are ascending.
+func (g *Graph) NeighborsWithLabelAndEdgeLabels(v VertexID, l Label) ([]VertexID, []EdgeLabel) {
+	lo, hi := g.labelRun(v, l)
+	if lo == hi {
+		return nil, nil
+	}
+	if g.edgeLabels == nil {
+		return g.neighbors[lo:hi:hi], nil
+	}
+	return g.neighbors[lo:hi:hi], g.edgeLabels[lo:hi:hi]
+}
+
+// DegreeWithLabel counts neighbours of v labelled l — one run-length read.
+// Used by the neighbourhood-label-frequency (NLF) candidate filter.
 func (g *Graph) DegreeWithLabel(v VertexID, l Label) int {
 	lo, hi := g.labelRun(v, l)
 	return int(hi - lo)
@@ -135,9 +223,10 @@ func (g *Graph) SizeBytes() int64 {
 	return int64(len(g.offsets))*8 + int64(len(g.neighbors))*4 + int64(len(g.labels))*2
 }
 
-// Validate checks structural invariants of the CSR representation: sorted
-// adjacency, no self loops, no parallel edges, symmetric edges, offsets
-// monotone. It is used by tests and loaders.
+// Validate checks structural invariants of the CSR representation:
+// offsets monotone, adjacency strictly ascending by (label, id), label runs
+// matching it, no self loops, no parallel edges, symmetric edges. It is
+// used by tests and loaders.
 func (g *Graph) Validate() error {
 	n := g.NumVertices()
 	if len(g.offsets) != n+1 {
@@ -149,36 +238,67 @@ func (g *Graph) Validate() error {
 	if g.deleted != nil && len(g.deleted) != n {
 		return fmt.Errorf("graph: deleted length %d, want %d", len(g.deleted), n)
 	}
+	if len(g.runOff) != n+1 || g.runOff[0] != 0 || g.runOff[n] != int64(len(g.runLabels)) || len(g.runStarts) != len(g.runLabels) {
+		return fmt.Errorf("graph: label run table malformed")
+	}
+	// Layout first, so the symmetry probes below search well-formed runs.
 	for v := 0; v < n; v++ {
-		if g.offsets[v] > g.offsets[v+1] {
-			return fmt.Errorf("graph: offsets not monotone at %d", v)
+		if err := g.validateLayout(v); err != nil {
+			return err
 		}
+	}
+	for v := 0; v < n; v++ {
 		adj := g.Neighbors(VertexID(v))
 		if g.Deleted(VertexID(v)) && len(adj) > 0 {
 			return fmt.Errorf("graph: deleted vertex %d still has %d edges", v, len(adj))
 		}
-		for i, w := range adj {
-			if int(w) >= n {
-				return fmt.Errorf("graph: vertex %d has out-of-range neighbour %d", v, w)
-			}
+		for _, w := range adj {
 			if w == VertexID(v) {
 				return fmt.Errorf("graph: self loop at %d", v)
 			}
 			if g.Deleted(w) {
 				return fmt.Errorf("graph: edge (%d,%d) into deleted vertex", v, w)
 			}
-			if i > 0 && adj[i-1] >= w {
-				return fmt.Errorf("graph: adjacency of %d not strictly sorted", v)
-			}
 			if !g.HasEdge(w, VertexID(v)) {
 				return fmt.Errorf("graph: edge (%d,%d) not symmetric", v, w)
 			}
 		}
 	}
-	if err := g.validateByLabel(); err != nil {
-		return err
+	return g.validateByLabel()
+}
+
+// validateLayout checks v's extent and order: offsets monotone, neighbours
+// in range and strictly ascending by (label, id), and v's label runs
+// exactly the label changes of its adjacency.
+func (g *Graph) validateLayout(v int) error {
+	lo, hi := g.offsets[v], g.offsets[v+1]
+	if lo > hi || hi > g.offsets[len(g.offsets)-1] {
+		return fmt.Errorf("graph: offsets not monotone at %d", v)
 	}
-	return g.validateLabelIndex()
+	k, end := g.runOff[v], g.runOff[v+1]
+	if k > end || end > int64(len(g.runLabels)) {
+		return fmt.Errorf("graph: label runs of %d out of range", v)
+	}
+	for p := lo; p < hi; p++ {
+		w := g.neighbors[p]
+		if int(w) >= len(g.labels) {
+			return fmt.Errorf("graph: vertex %d has out-of-range neighbour %d", v, w)
+		}
+		if p > lo && !g.before(g.neighbors[p-1], w) {
+			return fmt.Errorf("graph: adjacency of %d not strictly ascending by (label, id)", v)
+		}
+		if p > lo && g.labels[w] == g.labels[g.neighbors[p-1]] {
+			continue
+		}
+		if k == end || g.runLabels[k] != g.labels[w] || g.runStarts[k] != p {
+			return fmt.Errorf("graph: label runs of %d do not match its adjacency", v)
+		}
+		k++
+	}
+	if k != end {
+		return fmt.Errorf("graph: vertex %d has label runs past its adjacency", v)
+	}
+	return nil
 }
 
 // validateByLabel checks the per-label vertex lists: sorted, labels

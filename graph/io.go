@@ -2,11 +2,13 @@ package graph
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -23,15 +25,19 @@ import (
 // emitted only for edge-labeled graphs; a single label means both
 // half-edges carry it, two labels encode a directed relation.
 
-// WriteText serialises g in the text format.
+// WriteText serialises g in the text format, each vertex's edges in
+// ascending id order.
 func WriteText(w io.Writer, g *Graph) error {
 	bw := bufio.NewWriterSize(w, 1<<20)
 	fmt.Fprintf(bw, "t %d %d\n", g.NumVertices(), g.NumEdges())
 	for v := 0; v < g.NumVertices(); v++ {
 		fmt.Fprintf(bw, "v %d %d %d\n", v, g.Label(VertexID(v)), g.Degree(VertexID(v)))
 	}
+	var adj []halfEdge
 	for v := 0; v < g.NumVertices(); v++ {
-		for _, w2 := range g.Neighbors(VertexID(v)) {
+		adj = g.idOrder(VertexID(v), adj)
+		for _, h := range adj {
+			w2 := h.w
 			if VertexID(v) >= w2 {
 				continue
 			}
@@ -39,7 +45,7 @@ func WriteText(w io.Writer, g *Graph) error {
 				fmt.Fprintf(bw, "e %d %d\n", v, w2)
 				continue
 			}
-			fwd, _ := g.EdgeLabelBetween(VertexID(v), w2)
+			fwd := h.l
 			rev, _ := g.EdgeLabelBetween(w2, VertexID(v))
 			if fwd == rev {
 				fmt.Fprintf(bw, "e %d %d %d\n", v, w2, fwd)
@@ -51,33 +57,54 @@ func WriteText(w io.Writer, g *Graph) error {
 	return bw.Flush()
 }
 
-// ReadText parses the text format into a Graph.
+// maxTextPrealloc caps the vertices and edges ReadText preallocates from
+// its header; a larger graph grows the builder as its lines arrive.
+const maxTextPrealloc = 1 << 16
+
+// ReadText parses the text format into a Graph. The input is untrusted:
+// every number is range-checked before it is converted — vertex ids and
+// edge endpoints against the header's vertex count, labels against
+// uint16 — and the header's counts bound, never size, what the builder
+// preallocates. Errors name the offending line.
 func ReadText(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<24)
 	var b *Builder
+	var n uint64 // vertex count the header declares
+	var fields []string
 	line := 0
+	// num parses fields[i] as a decimal integer below limit.
+	num := func(i int, what string, limit uint64) (uint64, error) {
+		x, err := strconv.ParseUint(fields[i], 10, 64)
+		if err != nil {
+			return 0, fmt.Errorf("graph io: line %d: %s: %v", line, what, err)
+		}
+		if x >= limit {
+			return 0, fmt.Errorf("graph io: line %d: %s %d out of range (limit %d)", line, what, x, limit)
+		}
+		return x, nil
+	}
 	for sc.Scan() {
 		line++
 		text := strings.TrimSpace(sc.Text())
 		if text == "" || text[0] == '#' || text[0] == '%' {
 			continue
 		}
-		fields := strings.Fields(text)
+		fields = strings.Fields(text)
 		switch fields[0] {
 		case "t":
 			if len(fields) < 3 {
 				return nil, fmt.Errorf("graph io: line %d: malformed header", line)
 			}
-			n, err := strconv.Atoi(fields[1])
-			if err != nil {
-				return nil, fmt.Errorf("graph io: line %d: %v", line, err)
+			var err error
+			if n, err = num(1, "vertex count", maxBinaryVertices+1); err != nil {
+				return nil, err
 			}
-			m, err := strconv.Atoi(fields[2])
+			m, err := num(2, "edge count", n*(n-1)/2+1)
 			if err != nil {
-				return nil, fmt.Errorf("graph io: line %d: %v", line, err)
+				return nil, err
 			}
-			b = NewBuilder(n, m)
+			b = NewBuilder(int(min(n, maxTextPrealloc)), int(min(m, maxTextPrealloc)))
 		case "v":
 			if b == nil {
 				return nil, fmt.Errorf("graph io: line %d: 'v' before 't' header", line)
@@ -85,16 +112,16 @@ func ReadText(r io.Reader) (*Graph, error) {
 			if len(fields) < 3 {
 				return nil, fmt.Errorf("graph io: line %d: malformed vertex", line)
 			}
-			id, err := strconv.Atoi(fields[1])
+			id, err := num(1, "vertex id", n)
 			if err != nil {
-				return nil, fmt.Errorf("graph io: line %d: %v", line, err)
+				return nil, err
 			}
-			if id != b.NumVertices() {
+			if id != uint64(b.NumVertices()) {
 				return nil, fmt.Errorf("graph io: line %d: vertex ids must be dense and ascending (got %d, want %d)", line, id, b.NumVertices())
 			}
-			l, err := strconv.Atoi(fields[2])
+			l, err := num(2, "vertex label", maxBinaryLabels)
 			if err != nil {
-				return nil, fmt.Errorf("graph io: line %d: %v", line, err)
+				return nil, err
 			}
 			b.AddVertex(Label(l))
 		case "e":
@@ -104,33 +131,27 @@ func ReadText(r io.Reader) (*Graph, error) {
 			if len(fields) < 3 {
 				return nil, fmt.Errorf("graph io: line %d: malformed edge", line)
 			}
-			u, err := strconv.Atoi(fields[1])
-			if err != nil {
-				return nil, fmt.Errorf("graph io: line %d: %v", line, err)
+			var ends, labs [2]uint64
+			for i := range ends {
+				var err error
+				if ends[i], err = num(1+i, "edge endpoint", n); err != nil {
+					return nil, err
+				}
 			}
-			v, err := strconv.Atoi(fields[2])
-			if err != nil {
-				return nil, fmt.Errorf("graph io: line %d: %v", line, err)
+			for i := 0; i < 2 && 3+i < len(fields); i++ {
+				var err error
+				if labs[i], err = num(3+i, "edge label", maxBinaryLabels); err != nil {
+					return nil, err
+				}
 			}
+			u, v := VertexID(ends[0]), VertexID(ends[1])
 			switch len(fields) {
 			case 3:
-				b.AddEdge(VertexID(u), VertexID(v))
+				b.AddEdge(u, v)
 			case 4:
-				l, err := strconv.Atoi(fields[3])
-				if err != nil {
-					return nil, fmt.Errorf("graph io: line %d: %v", line, err)
-				}
-				b.AddEdgeLabeled(VertexID(u), VertexID(v), EdgeLabel(l))
+				b.AddEdgeLabeled(u, v, EdgeLabel(labs[0]))
 			default:
-				fwd, err := strconv.Atoi(fields[3])
-				if err != nil {
-					return nil, fmt.Errorf("graph io: line %d: %v", line, err)
-				}
-				rev, err := strconv.Atoi(fields[4])
-				if err != nil {
-					return nil, fmt.Errorf("graph io: line %d: %v", line, err)
-				}
-				b.AddEdgeArcs(VertexID(u), VertexID(v), EdgeLabel(fwd), EdgeLabel(rev))
+				b.AddEdgeArcs(u, v, EdgeLabel(labs[0]), EdgeLabel(labs[1]))
 			}
 		default:
 			return nil, fmt.Errorf("graph io: line %d: unknown record %q", line, fields[0])
@@ -218,7 +239,8 @@ const (
 )
 
 // WriteBinary serialises g in a compact little-endian binary format:
-// magic, n, m, labels, offsets, neighbours[, edge labels].
+// magic, n, m, labels, offsets, neighbours[, edge labels], each vertex's
+// neighbours (and edge labels) in ascending id order.
 func WriteBinary(w io.Writer, g *Graph) error {
 	bw := bufio.NewWriterSize(w, 1<<20)
 	magic := binMagic
@@ -240,20 +262,52 @@ func WriteBinary(w io.Writer, g *Graph) error {
 	if err := binary.Write(bw, binary.LittleEndian, g.offsets); err != nil {
 		return err
 	}
-	if err := binary.Write(bw, binary.LittleEndian, g.neighbors); err != nil {
+	ids := make([]VertexID, 0, len(g.neighbors))
+	var elabs []EdgeLabel
+	if g.EdgeLabeled() {
+		elabs = make([]EdgeLabel, 0, len(g.neighbors))
+	}
+	var adj []halfEdge
+	for v := 0; v < g.NumVertices(); v++ {
+		adj = g.idOrder(VertexID(v), adj)
+		for _, h := range adj {
+			ids = append(ids, h.w)
+			if elabs != nil {
+				elabs = append(elabs, h.l)
+			}
+		}
+	}
+	if err := binary.Write(bw, binary.LittleEndian, ids); err != nil {
 		return err
 	}
 	if g.EdgeLabeled() {
-		if err := binary.Write(bw, binary.LittleEndian, g.edgeLabels); err != nil {
+		if err := binary.Write(bw, binary.LittleEndian, elabs); err != nil {
 			return err
 		}
 	}
 	return bw.Flush()
 }
 
-// Header bounds for ReadBinary: vertex ids are uint32 and labels uint16, so
-// no valid graph declares more, and a simple graph on n vertices has at most
-// n(n−1) half-edges (which cannot overflow a uint64 under this vertex bound).
+// idOrder returns v's half-edges in ascending neighbour id order, the order
+// both file formats store and SampleEdges draws in, reusing buf.
+func (g *Graph) idOrder(v VertexID, buf []halfEdge) []halfEdge {
+	buf = buf[:0]
+	labs := g.EdgeLabels(v)
+	for i, w := range g.Neighbors(v) {
+		h := halfEdge{w: w}
+		if labs != nil {
+			h.l = labs[i]
+		}
+		buf = append(buf, h)
+	}
+	slices.SortFunc(buf, func(a, b halfEdge) int { return cmp.Compare(a.w, b.w) })
+	return buf
+}
+
+// Header bounds for ReadBinary and ReadText: vertex ids are uint32 and
+// labels uint16, so no valid graph declares more, and a simple graph on n
+// vertices has at most n(n−1) half-edges (which cannot overflow a uint64
+// under this vertex bound).
 const (
 	maxBinaryVertices = math.MaxUint32
 	maxBinaryLabels   = 1 << 16
@@ -302,8 +356,8 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 			return nil, err
 		}
 	}
-	// Corrupt labels, offsets or out-of-range neighbours must fail before
-	// the label index walks the adjacency.
+	// Corrupt labels, offsets, out-of-range neighbours or adjacency that is
+	// not strictly id-sorted must fail before the adjacency is regrouped.
 	for _, l := range g.labels {
 		if int(l) >= numLabels {
 			return nil, fmt.Errorf("graph io: label %d out of range (numLabels=%d)", l, numLabels)
@@ -317,21 +371,27 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 			return nil, fmt.Errorf("graph io: corrupt binary graph: offsets not monotone at %d", v)
 		}
 	}
-	for _, w := range g.neighbors {
-		if int(w) >= n {
-			return nil, fmt.Errorf("graph io: corrupt binary graph: neighbour %d out of range (n=%d)", w, n)
+	for v := 0; v < n; v++ {
+		adj := g.Neighbors(VertexID(v))
+		for i, w := range adj {
+			if int(w) >= n {
+				return nil, fmt.Errorf("graph io: corrupt binary graph: neighbour %d out of range (n=%d)", w, n)
+			}
+			if i > 0 && adj[i-1] >= w {
+				return nil, fmt.Errorf("graph io: corrupt binary graph: adjacency of %d not strictly id-sorted", v)
+			}
 		}
 	}
 	g.byLabel = make([][]VertexID, numLabels)
 	for v, l := range g.labels {
 		g.byLabel[l] = append(g.byLabel[l], VertexID(v))
 	}
+	g.runOff = make([]int64, n+1)
+	var buf []halfEdge
 	for v := 0; v < n; v++ {
-		if d := g.Degree(VertexID(v)); d > g.maxDegree {
-			g.maxDegree = d
-		}
+		buf = g.groupByLabel(v, buf)
+		g.maxDegree = max(g.maxDegree, g.Degree(VertexID(v)))
 	}
-	g.buildLabelIndex()
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("graph io: corrupt binary graph: %v", err)
 	}

@@ -226,3 +226,51 @@ func TestStats(t *testing.T) {
 		t.Errorf("label histogram covers %d vertices", sum)
 	}
 }
+
+// readTextOutOfRange holds text inputs whose numbers overflow their type or
+// the declared vertex count; each must fail with an error naming its line.
+var readTextOutOfRange = []struct {
+	name, src, line string
+}{
+	{"negative vertex count", "t -1 0\n", "line 1"},
+	{"edge count above n(n-1)/2", "t 3 99999999999999\n", "line 1"},
+	{"vertex label above uint16", "t 1 0\nv 0 70000\n", "line 2"},
+	{"edge endpoint above uint32", "t 2 1\nv 0 0\nv 1 0\ne 0 4294967297\n", "line 4"},
+}
+
+func TestReadTextBoundsNumbers(t *testing.T) {
+	for _, tc := range readTextOutOfRange {
+		_, err := ReadText(strings.NewReader(tc.src))
+		if err == nil || !strings.Contains(err.Error(), tc.line) {
+			t.Errorf("%s: ReadText = %v, want an error naming %s", tc.name, err, tc.line)
+		}
+	}
+}
+
+// FuzzReadText: ReadText never panics, and whatever it accepts is a valid
+// graph that survives a WriteText → ReadText round trip.
+func FuzzReadText(f *testing.F) {
+	for _, tc := range readTextOutOfRange {
+		f.Add(tc.src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		g, err := ReadText(strings.NewReader(src))
+		if err != nil {
+			return
+		}
+		if err := g.Validate(); err != nil {
+			t.Fatalf("decoded graph fails Validate: %v", err)
+		}
+		var buf bytes.Buffer
+		if err := WriteText(&buf, g); err != nil {
+			t.Fatalf("WriteText of a decoded graph: %v", err)
+		}
+		g2, err := ReadText(&buf)
+		if err != nil {
+			t.Fatalf("re-reading WriteText output: %v", err)
+		}
+		if !graphsEqual(g, g2) || !edgeLabelsEqual(g, g2) {
+			t.Fatal("WriteText → ReadText changed the graph")
+		}
+	})
+}

@@ -25,14 +25,14 @@ const parallelBuildMin = 1024
 // BuildWorkers is Build with the per-level stamp-probe passes run
 // data-parallel over candidate vertices, bounded by workers. Build sits on
 // the host's critical path (the modelled FPGA idles until the first
-// partition arrives), so every pass leans on the graph's label index:
-// candidate filtering scans only same-label vertices, the reachability
-// passes probe only same-label neighbourhood runs, and adjacency
-// construction probes label-restricted runs against a position table
-// instead of intersecting whole adjacency lists. The result is identical to
-// Build's for any worker count — each pass marks serially, probes in
-// order-preserving chunks, and the barrier between passes keeps the level
-// order of Algorithm 1.
+// partition arrives), so every pass leans on the graph's label-major
+// adjacency and its run table: candidate filtering scans only same-label
+// vertices, the reachability passes probe only same-label neighbourhood
+// runs, and adjacency construction probes label-restricted runs against a
+// position table instead of intersecting whole adjacency lists. The
+// result is identical to Build's for any worker count — each pass marks
+// serially, probes in order-preserving chunks, and the barrier between
+// passes keeps the level order of Algorithm 1.
 func BuildWorkers(q *graph.Query, g *graph.Graph, t *order.Tree, workers int) *CST {
 	if workers < 1 {
 		workers = 1
