@@ -62,22 +62,36 @@ func BenchmarkCSTBuild(b *testing.B) {
 }
 
 // BenchmarkPartition measures Algorithm 2's sequential restrict-and-recurse
-// over a CST that genuinely violates the thresholds.
+// over a CST that genuinely violates the thresholds. The base-200 cases use
+// benchInput's 16 KiB / 64 thresholds; the base-1600 cases the thresholds
+// the host derives on the 32 KiB card (δS = 32 KiB minus the partial-results
+// buffer, δD 512), where restrict is most of a warm engine op.
 func BenchmarkPartition(b *testing.B) {
-	for _, name := range []string{"q1", "q5"} {
-		c, o, cfg := benchInput(b, name, 200)
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			var pieces int
-			for i := 0; i < b.N; i++ {
-				n := Partition(c, o, cfg, func(*CST) {})
-				if pieces == 0 {
-					pieces = n
-				} else if n != pieces {
-					b.Fatalf("piece drift: %d then %d", pieces, n)
-				}
+	for _, sc := range []struct {
+		base    int
+		queries []string
+	}{
+		{200, []string{"q1", "q5"}},
+		{1600, []string{"q1", "q3", "q5"}},
+	} {
+		for _, name := range sc.queries {
+			c, o, cfg := benchInput(b, name, sc.base)
+			if sc.base > 200 {
+				cfg = cardPartition(32<<10, c.Query.NumVertices())
 			}
-		})
+			b.Run(fmt.Sprintf("base=%d/%s", sc.base, name), func(b *testing.B) {
+				b.ReportAllocs()
+				var pieces int
+				for i := 0; i < b.N; i++ {
+					n := Partition(c, o, cfg, func(*CST) {})
+					if pieces == 0 {
+						pieces = n
+					} else if n != pieces {
+						b.Fatalf("piece drift: %d then %d", pieces, n)
+					}
+				}
+			})
+		}
 	}
 }
 

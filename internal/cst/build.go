@@ -122,25 +122,31 @@ func BuildWorkers(q *graph.Query, g *graph.Graph, t *order.Tree, workers int) *C
 	// Build adjacency lists for tree edges and (lines 15-19) non-tree
 	// candidate neighbours, both directions, into the CST's flat CSR arenas.
 	// The stamps are dead once refinement ends, so the same array becomes
-	// the adjacency pass's position table.
-	c.buildAdjacency(g, directedEdges(t), stamp)
+	// the position table each edge's a → b probe reads, and then the write
+	// cursor of its b → a transpose. One build costs O(Σ label-run degree +
+	// Σ|C(u)| + kept edges): every probe is O(1), whatever the size of C(b).
+	for _, cands := range c.Cand {
+		c.sizeBytes += int64(len(cands)) * 4
+	}
+	var uncancelled restrictScratch
+	c.writeAdjacency(appendEdgePairs(nil, t), stamp, &uncancelled, func(a, b graph.QueryVertex, fwd, rev []int32, tgt []CandIndex) (int32, bool) {
+		return c.probeRows(g, a, b, stamp, fwd, rev, tgt), true
+	})
 	return c
 }
 
-// directedEdges lists both directions of every query edge as adjacent
-// (a,b),(b,a) pairs, tree edges first in BFS order — the construction order
-// the dense adjacency table is filled in.
-func directedEdges(t *order.Tree) [][2]graph.QueryVertex {
-	dir := make([][2]graph.QueryVertex, 0, 2*(len(t.BFSOrder)-1+len(t.NonTreeEdges)))
+// appendEdgePairs appends every query edge once, as an (a,b) pair, to dst:
+// tree edges (parent, child) in BFS order, then the non-tree edges.
+func appendEdgePairs(dst [][2]graph.QueryVertex, t *order.Tree) [][2]graph.QueryVertex {
 	for _, u := range t.BFSOrder {
 		if u != t.Root {
-			dir = append(dir, [2]graph.QueryVertex{t.Parent[u], u}, [2]graph.QueryVertex{u, t.Parent[u]})
+			dst = append(dst, [2]graph.QueryVertex{t.Parent[u], u})
 		}
 	}
 	for _, e := range t.NonTreeEdges {
-		dir = append(dir, [2]graph.QueryVertex{e[0], e[1]}, [2]graph.QueryVertex{e[1], e[0]})
+		dst = append(dst, [2]graph.QueryVertex{e[0], e[1]})
 	}
-	return dir
+	return dst
 }
 
 // parallelKeep filters vs in place, preserving order, with the predicate
@@ -224,74 +230,6 @@ func localCandidates(q *graph.Query, g *graph.Graph, u graph.QueryVertex) []grap
 	return out
 }
 
-// buildAdjacency fills the CSR adjacency of every directed edge in dir —
-// (a,b),(b,a) pairs — into one exactly sized offsets arena and one exactly
-// sized targets arena, then folds the partition statistics into c. Each pair
-// probes only a → b, twice: the first pass counts every row of both
-// directions, the second writes the a → b rows and derives b → a by a
-// counting-sort transpose. pos is scratch of at least |V(G)| entries; its
-// contents on entry do not matter.
-//
-// One build costs O(Σ label-run degree + Σ|C(u)| + kept edges): every probe
-// is O(1), whatever the size of C(b).
-func (c *CST) buildAdjacency(g *graph.Graph, dir [][2]graph.QueryVertex, pos []uint32) {
-	for _, cands := range c.Cand {
-		c.sizeBytes += int64(len(cands)) * 4
-	}
-	offTotal := 0
-	for _, e := range dir {
-		offTotal += len(c.Cand[e[0]]) + 1
-	}
-	offArena := make([]int32, offTotal)
-	offLo, tgtTotal := 0, 0
-	carve := func(n int) []int32 {
-		s := offArena[offLo : offLo+n : offLo+n]
-		offLo += n
-		return s
-	}
-	for k := 0; k < len(dir); k += 2 {
-		a, b := dir[k][0], dir[k][1]
-		fwd := carve(len(c.Cand[a]) + 1)
-		rev := carve(len(c.Cand[b]) + 1)
-		fwdMax := c.probeRows(g, a, b, pos, fwd, rev, nil)
-		var revMax int32
-		for j := 1; j < len(rev); j++ {
-			revMax = max(revMax, rev[j])
-			rev[j] += rev[j-1]
-		}
-		c.setAdj(a, b, Adj{Offsets: fwd, maxDeg: fwdMax})
-		c.setAdj(b, a, Adj{Offsets: rev, maxDeg: revMax})
-		tgtTotal += 2 * int(fwd[len(fwd)-1])
-	}
-
-	tgtArena := make([]CandIndex, tgtTotal)
-	tgtLo := 0
-	for k := 0; k < len(dir); k += 2 {
-		a, b := dir[k][0], dir[k][1]
-		fwd, rev := c.edgeRef(a, b), c.edgeRef(b, a)
-		n := int(fwd.Offsets[len(fwd.Offsets)-1])
-		fwd.Targets = tgtArena[tgtLo : tgtLo+n : tgtLo+n]
-		rev.Targets = tgtArena[tgtLo+n : tgtLo+2*n : tgtLo+2*n]
-		tgtLo += 2 * n
-		c.probeRows(g, a, b, pos, fwd.Offsets, nil, fwd.Targets)
-		// Transpose: walking the a-candidates in ascending order appends each
-		// reverse row in ascending order too. pos is free again, so its
-		// prefix serves as the per-row write cursor.
-		cur := pos[:len(c.Cand[b])]
-		for j := range cur {
-			cur[j] = uint32(rev.Offsets[j])
-		}
-		for i := 0; i+1 < len(fwd.Offsets); i++ {
-			for _, j := range fwd.Targets[fwd.Offsets[i]:fwd.Offsets[i+1]] {
-				rev.Targets[cur[j]] = CandIndex(i)
-				cur[j]++
-			}
-		}
-		c.sizeBytes += int64(len(fwd.Offsets)+len(rev.Offsets)+2*n) * 4
-		c.maxDeg = max(c.maxDeg, int(fwd.maxDeg), int(rev.maxDeg))
-	}
-}
-
 // probeRows intersects each a-candidate's label-restricted data adjacency
 // (the run of neighbours labelled like b, a zero-copy subslice of the label
 // index) with C(b). pos is loaded as a sparse set — pos[C(b)[j]] = j — so
@@ -302,10 +240,8 @@ func (c *CST) buildAdjacency(g *graph.Graph, dir [][2]graph.QueryVertex, pos []u
 // Section II), which makes the kept relation symmetric: b → a is exactly
 // its transpose.
 //
-// With tgt nil, probeRows counts: fwd receives the a → b offsets, rev[j+1]
-// the length of reverse row j, and the longest forward row is returned.
-// Otherwise fwd already holds the offsets and the rows are written into
-// tgt, each ascending because the label run and C(b) are both sorted.
+// It is Build's adjRows (counting with tgt nil, else writing); each written
+// row is ascending because the label run and C(b) are both sorted.
 func (c *CST) probeRows(g *graph.Graph, a, b graph.QueryVertex, pos []uint32, fwd, rev []int32, tgt []CandIndex) int32 {
 	src, dst := c.Cand[a], c.Cand[b]
 	for j, w := range dst {

@@ -2,6 +2,8 @@ package cst
 
 import (
 	"math/rand"
+	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -103,6 +105,73 @@ func TestPartitionCancelMidRestrict(t *testing.T) {
 		}
 		if count >= full {
 			t.Errorf("cancelled run delivered %d pieces, want < uncancelled %d", count, full)
+		}
+	})
+}
+
+// transposeHook is a cancel hook that fires, and stays fired, from its first
+// call made inside transpose, the last phase of restrict's rebuild: every
+// arena of the piece is allocated by then. delivered counts the pieces the
+// caller has received; atFire records that count when the hook fires.
+type transposeHook struct {
+	fired             bool
+	delivered, atFire int
+}
+
+func (h *transposeHook) cancel() bool {
+	if !h.fired && calledFrom("cst.transpose") {
+		h.fired, h.atFire = true, h.delivered
+	}
+	return h.fired
+}
+
+// calledFrom reports whether fn (package-qualified, e.g. "cst.transpose") is
+// on the caller's stack, inlined frames included.
+func calledFrom(fn string) bool {
+	pcs := make([]uintptr, 32)
+	frames := runtime.CallersFrames(pcs[:runtime.Callers(2, pcs)])
+	for {
+		f, more := frames.Next()
+		if strings.HasSuffix(f.Function, "/"+fn) {
+			return true
+		}
+		if !more {
+			return false
+		}
+	}
+}
+
+// TestRestrictCancelInTranspose: a cancel that lands while restrict
+// transposes a rebuilt edge still aborts the piece — restrict returns nil —
+// and Partition delivers no piece after it.
+func TestRestrictCancelInTranspose(t *testing.T) {
+	c, u := bigRestrictCST(t)
+	t.Run("restrict", func(t *testing.T) {
+		h := &transposeHook{}
+		part := restrict(c, u, [2]int{0, len(c.Cand[u]) - 1}, &restrictScratch{cancel: h.cancel})
+		if !h.fired {
+			t.Fatal("the hook was never polled inside transpose")
+		}
+		if part != nil {
+			t.Fatal("restrict completed despite cancellation firing in the transpose")
+		}
+	})
+	t.Run("partition", func(t *testing.T) {
+		o := order.PathBased(c.Tree, c)
+		cfg := PartitionConfig{MaxSizeBytes: c.SizeBytes() / 64, MaxCandDegree: 64}
+		full := Partition(c, o, cfg, func(*CST) {})
+		h := &transposeHook{}
+		cfg.Cancel = h.cancel
+		count := Partition(c, o, cfg, func(*CST) { h.delivered++ })
+		if !h.fired {
+			t.Fatal("the hook was never polled inside transpose")
+		}
+		if h.delivered != h.atFire {
+			t.Errorf("%d pieces delivered, %d of them after the cancel fired in the transpose",
+				h.delivered, h.delivered-h.atFire)
+		}
+		if count != h.delivered || count >= full {
+			t.Errorf("cancelled run returned %d (delivered %d), uncancelled %d", count, h.delivered, full)
 		}
 	})
 }

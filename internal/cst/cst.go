@@ -83,9 +83,9 @@ type CST struct {
 	// adj is a dense |V(q)|×|V(q)| table of CSR views indexed from*nq+to —
 	// query vertices are small ints, so edge lookup is one multiply-add.
 	// Entries are Valid exactly for the directed versions of q's edges, and
-	// the views point into the flat offset/target arenas built by
-	// adjAssembler (one arena pair per CST; a restricted piece's unchanged
-	// edges alias its parent's arenas instead of copying).
+	// the views point into the flat offset/target arenas writeAdjacency
+	// fills (one arena pair per CST; a restricted piece's unchanged edges
+	// alias its parent's arenas instead of copying).
 	adj []Adj
 
 	// Size and degree statistics are queried on every partition decision,
@@ -302,83 +302,98 @@ func (c *CST) ComputeStats() Stats {
 	return s
 }
 
-// pendingAdj records one directed edge's extents in an adjAssembler's
-// arenas; the view is installed only at finish time because target appends
-// may move the arena mid-build.
-type pendingAdj struct {
-	from, to     graph.QueryVertex
-	offLo, offN  int
-	tgtLo, tgtHi int
-	maxDeg       int32
-}
+// adjRows produces the a → b rows of one query edge for writeAdjacency, in
+// one of two modes. With tgt nil it counts: fwd receives the a → b offsets,
+// rev[j+1] the length of reverse row j, and the longest forward row is
+// returned. Otherwise fwd already holds the offsets and the rows, each
+// ascending, are written into tgt — probed again (Build) or copied from
+// where the counting call staged them (restrict). It reports false when a
+// cancel hook fired.
+type adjRows func(a, b graph.QueryVertex, fwd, rev []int32, tgt []CandIndex) (int32, bool)
 
-// adjAssembler accumulates the CSR adjacency of every edge a restricted
-// piece rebuilds into two flat arenas: an exactly pre-sized offsets arena
-// (candidate counts are final before adjacency construction starts) and an
-// append-grown targets buffer. finish copies the targets into an
-// exactly-sized arena, installs the per-edge views, and folds the partition
-// statistics into the CST — so a piece performs O(1) allocations for all of
-// its adjacency, and restrict reuses the grow buffer across pieces via
-// restrictScratch; the buffer itself never becomes a CST's Targets. Build
-// does not use it: it counts every row before writing, so it fills exactly
-// sized arenas directly (buildAdjacency).
-type adjAssembler struct {
-	off    []int32
-	tgt    []CandIndex
-	offCur int
-	edges  []pendingAdj
-}
-
-// newAdjAssembler sizes the assembler: offTotal is the exact total offset
-// count across the edges to be built, tgtBuf an optional reusable grow
-// buffer, edgeCap the number of directed edges expected.
-func newAdjAssembler(offTotal int, tgtBuf []CandIndex, edgeCap int) adjAssembler {
-	return adjAssembler{
-		off:   make([]int32, offTotal),
-		tgt:   tgtBuf[:0],
-		edges: make([]pendingAdj, 0, edgeCap),
+// writeAdjacency fills both directions of every query edge (a,b) in pairs
+// into one exactly sized offsets arena and one exactly sized targets arena,
+// then folds their size and longest rows into c's partition statistics (the
+// caller seeds those with the candidate bytes and any shared edges). rows
+// is called twice per edge, once to count the rows of both directions and
+// once to write a → b; b → a is its transpose. cur is scratch of at least
+// max |C(b)| entries, and sc carries the cancel hook the loops poll. It
+// reports false when the hook fired, leaving c partial.
+func (c *CST) writeAdjacency(pairs [][2]graph.QueryVertex, cur []uint32, sc *restrictScratch, rows adjRows) bool {
+	offTotal := 0
+	for _, e := range pairs {
+		offTotal += len(c.Cand[e[0]]) + len(c.Cand[e[1]]) + 2
 	}
+	offArena := make([]int32, offTotal)
+	offLo, tgtTotal := 0, 0
+	carve := func(n int) []int32 {
+		s := offArena[offLo : offLo+n : offLo+n]
+		offLo += n
+		return s
+	}
+	for _, e := range pairs {
+		a, b := e[0], e[1]
+		fwd := carve(len(c.Cand[a]) + 1)
+		rev := carve(len(c.Cand[b]) + 1)
+		fwdMax, ok := rows(a, b, fwd, rev, nil)
+		if !ok {
+			return false
+		}
+		var revMax int32
+		for j := 1; j < len(rev); j++ {
+			if sc.polled() {
+				return false
+			}
+			revMax = max(revMax, rev[j])
+			rev[j] += rev[j-1]
+		}
+		c.setAdj(a, b, Adj{Offsets: fwd, maxDeg: fwdMax})
+		c.setAdj(b, a, Adj{Offsets: rev, maxDeg: revMax})
+		tgtTotal += 2 * int(fwd[len(fwd)-1])
+	}
+
+	tgtArena := make([]CandIndex, tgtTotal)
+	tgtLo := 0
+	for _, e := range pairs {
+		if sc.polled() {
+			return false
+		}
+		a, b := e[0], e[1]
+		fwd, rev := c.edgeRef(a, b), c.edgeRef(b, a)
+		n := int(fwd.Offsets[len(fwd.Offsets)-1])
+		fwd.Targets = tgtArena[tgtLo : tgtLo+n : tgtLo+n]
+		rev.Targets = tgtArena[tgtLo+n : tgtLo+2*n : tgtLo+2*n]
+		tgtLo += 2 * n
+		if _, ok := rows(a, b, fwd.Offsets, nil, fwd.Targets); !ok {
+			return false
+		}
+		if !transpose(*fwd, *rev, cur, sc) {
+			return false
+		}
+		c.sizeBytes += int64(len(fwd.Offsets)+len(rev.Offsets)+2*n) * 4
+		c.maxDeg = max(c.maxDeg, int(fwd.maxDeg), int(rev.maxDeg))
+	}
+	return true
 }
 
-// begin opens the CSR rows for one directed edge with nSrc source
-// candidates and returns the edge-local offsets slice (offsets[0] is
-// already 0; the caller writes offsets[i+1] relative to its own target
-// count, exactly like a standalone Adj).
-func (asm *adjAssembler) begin(nSrc int) []int32 {
-	off := asm.off[asm.offCur : asm.offCur+nSrc+1]
-	off[0] = 0
-	return off
-}
-
-// commit closes the edge opened by the last begin, recording its extents
-// and longest list.
-func (asm *adjAssembler) commit(from, to graph.QueryVertex, nSrc, tgtLo int, maxDeg int32) {
-	asm.edges = append(asm.edges, pendingAdj{
-		from: from, to: to,
-		offLo: asm.offCur, offN: nSrc + 1,
-		tgtLo: tgtLo, tgtHi: len(asm.tgt),
-		maxDeg: maxDeg,
-	})
-	asm.offCur += nSrc + 1
-}
-
-// finish installs every committed edge's view into c and folds the edges'
-// size/degree contributions into c's partition statistics (the caller seeds
-// those with the candidate bytes and any shared edges first).
-func (asm *adjAssembler) finish(c *CST) []CandIndex {
-	arena := make([]CandIndex, len(asm.tgt))
-	copy(arena, asm.tgt)
-	for _, e := range asm.edges {
-		offHi, tgtN := e.offLo+e.offN, e.tgtHi-e.tgtLo
-		c.setAdj(e.from, e.to, Adj{
-			Offsets: asm.off[e.offLo:offHi:offHi],
-			Targets: arena[e.tgtLo:e.tgtHi:e.tgtHi],
-			maxDeg:  e.maxDeg,
-		})
-		c.sizeBytes += int64(e.offN)*4 + int64(tgtN)*4
-		if int(e.maxDeg) > c.maxDeg {
-			c.maxDeg = int(e.maxDeg)
+// transpose fills the rows of rev, the reverse direction of fwd: walking
+// fwd's source rows in ascending order appends each reverse row in ascending
+// order too. rev.Offsets must already hold the final row starts; the prefix
+// of cur serves as the per-row write cursor. It reports false when sc's
+// cancel hook fired.
+func transpose(fwd, rev Adj, cur []uint32, sc *restrictScratch) bool {
+	cur = cur[:len(rev.Offsets)-1]
+	for j := range cur {
+		cur[j] = uint32(rev.Offsets[j])
+	}
+	for i := 0; i+1 < len(fwd.Offsets); i++ {
+		if sc.polled() {
+			return false
+		}
+		for _, j := range fwd.Targets[fwd.Offsets[i]:fwd.Offsets[i+1]] {
+			rev.Targets[cur[j]] = CandIndex(i)
+			cur[j]++
 		}
 	}
-	return asm.tgt // hand the grow buffer back for reuse
+	return true
 }

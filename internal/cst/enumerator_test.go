@@ -170,12 +170,12 @@ func TestEnumerateAllocsSteadyState(t *testing.T) {
 	}
 }
 
-// TestPartitionAllocsBounded gates the satellite fix for the carry-over
-// allocations: eager stats folding (no per-CST sync.Once) and the reusable
-// restrict target buffer. Measured cost is ~13 allocations per emitted piece
-// (the piece's own CST, Cand headers, arenas); the memoised/per-piece-CSR
-// version cost ~90, so the bound below catches either regression while
-// leaving headroom for Go version drift.
+// TestPartitionAllocsBounded gates the carry-over allocations: eager stats
+// folding (no per-CST sync.Once) and restrict's reusable scratch (kept
+// bitmaps, remap tables, the staging buffer). Measured cost is ~11
+// allocations per emitted piece (the piece's own CST, Cand headers,
+// arenas); the memoised/per-piece-CSR version cost ~90, so the bound below
+// catches either regression while leaving headroom for Go version drift.
 func TestPartitionAllocsBounded(t *testing.T) {
 	c, o, cfg := ldbcCST(t, "q5")
 	pieces := 0
@@ -185,7 +185,8 @@ func TestPartitionAllocsBounded(t *testing.T) {
 	if pieces < 4 {
 		t.Fatalf("only %d pieces; config not tight enough for the gate", pieces)
 	}
-	const perPiece = 30
+	t.Logf("%v allocations for %d pieces (%.1f/piece)", allocs, pieces, allocs/float64(pieces))
+	const perPiece = 20
 	if budget := float64(perPiece * pieces); allocs > budget {
 		t.Errorf("Partition allocates %v per run for %d pieces (%.1f/piece); want <= %d/piece",
 			allocs, pieces, allocs/float64(pieces), perPiece)

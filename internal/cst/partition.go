@@ -1,6 +1,9 @@
 package cst
 
 import (
+	"math/bits"
+	"slices"
+
 	"fastmatch/graph"
 	"fastmatch/internal/order"
 )
@@ -149,12 +152,21 @@ func evenChunk(n, k, i int) [2]int {
 // the produced CST is freshly allocated. A scratch is single-goroutine state,
 // owned by one Partition call.
 type restrictScratch struct {
-	inSub    []bool
-	changed  []bool
-	kept     [][]bool      // per vertex in u's subtree: which candidate indices survive
-	keptList [][]CandIndex // kept indices, discovery order
-	remap    [][]CandIndex // old index -> new index or -1
-	tgtBuf   []CandIndex   // adjAssembler grow buffer, recycled across pieces
+	inSub   []bool // u's tree subtree
+	changed []bool // vertices that lose candidates in this piece
+	// kept[w] marks, per vertex in u's subtree, the candidate indices that
+	// survive; keptList[w] lists them, in discovery order until the rebuild
+	// sorts the changed vertices' lists ascending.
+	kept     [][]bool
+	keptList [][]CandIndex
+	remap    [][]CandIndex // old index -> new index, written for kept entries only
+	// pairs holds the rebuilt query edges, each oriented from the changed
+	// endpoint whose rows are walked; cursor is the transpose's write
+	// cursor; stage holds the forward rows between the counting and the
+	// writing pass (the one buffer that grows with the pieces).
+	pairs  [][2]graph.QueryVertex
+	cursor []uint32
+	stage  []CandIndex
 
 	// cancel is the owning Partition call's PartitionConfig.Cancel, threaded
 	// into restrict itself so a single huge restrict step observes
@@ -169,46 +181,54 @@ type restrictScratch struct {
 }
 
 // polled reports whether the owning Partition call was cancelled, checking
-// the hook only every 4096th call.
+// the hook only every 4096th call; a scratch without a hook (Build's) never
+// is. It stays within the inlining budget, so the per-row loops pay one
+// branch for it.
 func (sc *restrictScratch) polled() bool {
 	if sc.cancel == nil {
 		return false
 	}
 	sc.ticks++
-	if sc.ticks&4095 != 1 {
-		return false
-	}
-	return sc.cancel()
+	return sc.ticks&4095 == 1 && sc.cancel()
 }
 
 // grow sizes the scratch for an n-vertex query and clears the per-vertex
 // flags; the inner buffers are cleared lazily where they are (re)used.
 func (sc *restrictScratch) grow(n int) {
-	if cap(sc.inSub) < n {
-		sc.inSub = make([]bool, n)
-		sc.changed = make([]bool, n)
-		sc.kept = make([][]bool, n)
-		sc.keptList = make([][]CandIndex, n)
-		sc.remap = make([][]CandIndex, n)
-	}
-	sc.inSub = sc.inSub[:n]
-	sc.changed = sc.changed[:n]
-	sc.kept = sc.kept[:n]
-	sc.keptList = sc.keptList[:n]
-	sc.remap = sc.remap[:n]
+	sc.inSub, sc.changed = resized(sc.inSub, n), resized(sc.changed, n)
 	clear(sc.inSub)
 	clear(sc.changed)
+	sc.kept, sc.keptList, sc.remap = resized(sc.kept, n), resized(sc.keptList, n), resized(sc.remap, n)
 }
 
-// clearedBools returns b resized to n with all entries false, reusing its
-// capacity when possible.
-func clearedBools(b []bool, n int) []bool {
-	if cap(b) < n {
-		return make([]bool, n)
+// resized returns s with length n, reusing its capacity, and the contents
+// within it, when possible.
+func resized[T any](s []T, n int) []T {
+	return slices.Grow(s[:0], n)[:n]
+}
+
+// sortKept orders keptList[w] ascending: by sorting it when it is small
+// against |C(w)|, otherwise by one scan of the kept bitmap. It reports false
+// when the cancel hook fired.
+func (sc *restrictScratch) sortKept(w graph.QueryVertex) bool {
+	kl, kw := sc.keptList[w], sc.kept[w]
+	if len(kl)*bits.Len(uint(len(kl))) < len(kw) {
+		slices.Sort(kl)
+		return true
 	}
-	b = b[:n]
-	clear(b)
-	return b
+	// The kept entries are dense here, so polling per kept entry still
+	// polls every few bitmap entries.
+	n := 0
+	for i, ok := range kw {
+		if ok {
+			if sc.polled() {
+				return false
+			}
+			kl[n] = CandIndex(i)
+			n++
+		}
+	}
+	return true
 }
 
 // restrict builds a new CST from cur with C(u) limited to the given index
@@ -217,6 +237,13 @@ func clearedBools(b []bool, n int) []bool {
 // reach the chunk through tree edges (lines 9-12) — every other vertex
 // trivially reaches the chunk through the unrestricted prefix. Adjacency
 // lists are rebuilt against the kept candidates (line 13).
+//
+// A piece costs work in proportion to its own size: reachability and the
+// rebuild walk only kept rows, and each changed query edge is walked in one
+// direction, the other being its transpose. Per vertex w of u's subtree two
+// O(|C(w)|) passes remain — clearing kept[w], and, when the kept share is
+// large, the bitmap scan that lists the kept candidates ascending — and an
+// edge into an unchanged vertex t carries all |C(t)|+1 of its offsets.
 //
 // restrict polls sc's amortised cancel hook inside its reachability and
 // rebuild loops and returns nil once it fires, so a cancelled partitioner's
@@ -236,7 +263,8 @@ func restrict(cur *CST, u graph.QueryVertex, chunk [2]int, sc *restrictScratch) 
 	kept, keptList := sc.kept, sc.keptList
 	for w := 0; w < n; w++ {
 		if inSub[w] {
-			kept[w] = clearedBools(kept[w], len(cur.Cand[w]))
+			kept[w] = resized(kept[w], len(cur.Cand[w]))
+			clear(kept[w])
 			keptList[w] = keptList[w][:0]
 		}
 	}
@@ -248,9 +276,7 @@ func restrict(cur *CST, u graph.QueryVertex, chunk [2]int, sc *restrictScratch) 
 		keptList[u] = append(keptList[u], CandIndex(i))
 	}
 	// Top-down reachability through tree edges inside u's subtree. Only
-	// the kept parent candidates are walked, so a piece costs work
-	// proportional to its own size rather than the whole CST — this is
-	// what keeps recursive partitioning of large CSTs near-linear.
+	// the kept parent candidates are walked.
 	for _, w := range t.BFSOrder {
 		if !inSub[w] || w == u {
 			continue
@@ -272,17 +298,13 @@ func restrict(cur *CST, u graph.QueryVertex, chunk [2]int, sc *restrictScratch) 
 		keptList[w] = lw
 	}
 
-	// Materialise the restricted CST: remap candidate indices, then filter
-	// every adjacency list through the remap. Vertices outside u's subtree
-	// keep their candidate sets verbatim, so any adjacency list between
-	// two unchanged vertices is shared with the parent CST rather than
-	// copied (its views alias the parent's arenas) — CSTs are immutable
-	// after construction, and this turns the recursive partitioning of a
-	// large CST from quadratic copying into work proportional to the
-	// restricted subtrees only. Everything the piece owns lands in per-piece
-	// arenas — one candidate arena, one offsets arena, one targets arena —
-	// so a restrict step performs O(1) allocations regardless of how many
-	// vertices changed; the targets grow buffer is recycled through sc.
+	// Materialise the restricted CST. Vertices outside u's subtree keep
+	// their candidate sets verbatim, so any adjacency list between two
+	// unchanged vertices is shared with the parent CST rather than copied
+	// (its views alias the parent's arenas) — CSTs are immutable after
+	// construction. A changed vertex's kept candidates are listed ascending
+	// (u's list is the chunk already) and only they get a remap entry; the
+	// kept bitmap says which entries are valid.
 	part := newCST(cur.Query, t)
 	changed, remap := sc.changed, sc.remap
 	totalKept := 0
@@ -293,98 +315,107 @@ func restrict(cur *CST, u graph.QueryVertex, chunk [2]int, sc *restrictScratch) 
 			totalKept += len(keptList[w])
 		}
 	}
-	candArena := make([]graph.VertexID, 0, totalKept)
+	candArena := make([]graph.VertexID, totalKept)
 	for w := 0; w < n; w++ {
 		if !changed[w] {
 			part.Cand[w] = cur.Cand[w]
 			continue
 		}
-		if cap(remap[w]) < len(cur.Cand[w]) {
-			remap[w] = make([]CandIndex, len(cur.Cand[w]))
+		if w != u && !sc.sortKept(w) {
+			return nil
 		}
-		remap[w] = remap[w][:len(cur.Cand[w])]
-		lo := len(candArena)
-		for i, v := range cur.Cand[w] {
+		kl := keptList[w]
+		remap[w] = resized(remap[w], len(cur.Cand[w]))
+		cands := candArena[:len(kl):len(kl)]
+		candArena = candArena[len(kl):]
+		for r, i := range kl {
 			if sc.polled() {
 				return nil
 			}
-			if kept[w][i] {
-				remap[w][i] = CandIndex(len(candArena) - lo)
-				candArena = append(candArena, v)
-			} else {
-				remap[w][i] = -1
-			}
+			remap[w][i] = CandIndex(r)
+			cands[r] = cur.Cand[w][i]
 		}
-		part.Cand[w] = candArena[lo:len(candArena):len(candArena)]
+		part.Cand[w] = cands
 	}
 	for _, cands := range part.Cand {
 		part.sizeBytes += int64(len(cands)) * 4
 	}
 
 	// Adjacency: share untouched edges (folding their size and cached
-	// longest-list into the piece's partition stats in O(1)), rebuild the
-	// rest through the remap into the piece's own arenas.
-	offTotal, rebuilt := 0, 0
-	for from := 0; from < n; from++ {
-		for to := 0; to < n; to++ {
-			a := cur.edgeRef(from, to)
-			if !a.Valid() {
-				continue
-			}
-			if !changed[from] && !changed[to] {
-				part.setAdj(from, to, *a) // share: both endpoints untouched
-				part.sizeBytes += int64(len(a.Offsets))*4 + int64(len(a.Targets))*4
-				if int(a.maxDeg) > part.maxDeg {
-					part.maxDeg = int(a.maxDeg)
-				}
-				continue
-			}
-			offTotal += len(part.Cand[from]) + 1
-			rebuilt++
+	// longest row into the piece's partition stats in O(1)); rebuild each
+	// other query edge in one direction only, from a changed endpoint f —
+	// the one keeping fewer candidates when both changed — whose kept rows
+	// are walked in ascending order, filtering the targets through the
+	// other endpoint's kept bitmap and remap when it changed too. The
+	// reverse direction is the transpose. Everything the piece owns lands
+	// in three arenas — candidates, offsets, targets — so a restrict step
+	// performs O(1) allocations however many vertices changed.
+	sc.pairs = appendEdgePairs(sc.pairs[:0], t)
+	pairs := sc.pairs[:0]
+	maxTo, maxStage := 0, 0
+	for _, e := range sc.pairs {
+		if sc.polled() {
+			return nil
 		}
-	}
-	asm := newAdjAssembler(offTotal, sc.tgtBuf, rebuilt)
-	for from := 0; from < n; from++ {
-		for to := 0; to < n; to++ {
-			a := cur.edgeRef(from, to)
-			if !a.Valid() || (!changed[from] && !changed[to]) {
-				continue
+		a, b := e[0], e[1]
+		if !changed[a] && !changed[b] {
+			for _, v := range [2]Adj{cur.Edge(a, b), cur.Edge(b, a)} {
+				part.sizeBytes += int64(len(v.Offsets))*4 + int64(len(v.Targets))*4
+				part.maxDeg = max(part.maxDeg, int(v.maxDeg))
 			}
-			off := asm.begin(len(part.Cand[from]))
-			tgtLo := len(asm.tgt)
-			for i := range cur.Cand[from] {
-				if sc.polled() {
-					return nil
-				}
-				ni := CandIndex(i)
-				if changed[from] {
-					ni = remap[from][i]
-					if ni < 0 {
-						continue
+			part.setAdj(a, b, cur.Edge(a, b))
+			part.setAdj(b, a, cur.Edge(b, a))
+			continue
+		}
+		if !changed[a] || (changed[b] && len(part.Cand[b]) < len(part.Cand[a])) {
+			a, b = b, a
+		}
+		pairs = append(pairs, [2]graph.QueryVertex{a, b})
+		maxTo = max(maxTo, len(part.Cand[b]))
+		maxStage += len(cur.Edge(a, b).Targets)
+	}
+	sc.cursor = resized(sc.cursor, maxTo)
+	// The counting pass stages the forward rows in sc.stage, sized once for
+	// the parent's edges; the writing pass copies them into the piece's
+	// arena.
+	stage, staged := slices.Grow(sc.stage[:0], maxStage), 0
+	ok := part.writeAdjacency(pairs, sc.cursor, sc, func(f, to graph.QueryVertex, fwd, rev []int32, tgt []CandIndex) (int32, bool) {
+		if tgt != nil {
+			staged += copy(tgt, stage[staged:])
+			return 0, true
+		}
+		parent := cur.Edge(f, to)
+		filter, keptTo, remapTo := changed[to], kept[to], remap[to]
+		lo := len(stage)
+		var maxDeg int32
+		for r, i := range keptList[f] {
+			if sc.polled() {
+				return 0, false
+			}
+			row := parent.Neighbors(i)
+			if filter {
+				for _, j := range row {
+					if keptTo[j] {
+						nj := remapTo[j]
+						stage = append(stage, nj)
+						rev[nj+1]++
 					}
 				}
-				for _, j := range a.Neighbors(CandIndex(i)) {
-					nj := j
-					if changed[to] {
-						nj = remap[to][j]
-						if nj < 0 {
-							continue
-						}
-					}
-					asm.tgt = append(asm.tgt, nj)
-				}
-				off[ni+1] = int32(len(asm.tgt) - tgtLo)
-			}
-			var maxDeg int32
-			for r := 0; r+1 < len(off); r++ {
-				if d := off[r+1] - off[r]; d > maxDeg {
-					maxDeg = d
+			} else {
+				stage = append(stage, row...)
+				for _, j := range row {
+					rev[j+1]++
 				}
 			}
-			asm.commit(from, to, len(part.Cand[from]), tgtLo, maxDeg)
+			fwd[r+1] = int32(len(stage) - lo)
+			maxDeg = max(maxDeg, fwd[r+1]-fwd[r])
 		}
+		return maxDeg, true
+	})
+	sc.stage = stage
+	if !ok {
+		return nil
 	}
-	sc.tgtBuf = asm.finish(part)
 	return part
 }
 

@@ -12,44 +12,51 @@ package cst
 // Counts are float64 because real workloads overflow int64; the scheduler
 // only compares magnitudes.
 func EstimateWorkload(c *CST) float64 {
-	perCand := PerCandidateWorkload(c)
+	var offBuf [64]int
+	table, off := perCandidateWorkload(c, offBuf[:0])
 	root := c.Tree.Root
 	var total float64
-	for i := range c.Cand[root] {
-		total += perCand[root][i]
+	for _, w := range table[off[root]:off[root+1]] {
+		total += w
 	}
 	return total
 }
 
-// PerCandidateWorkload returns the DP table c_u(v) indexed as
-// [queryVertex][candidateIndex]. The partitioner uses it to split root
-// candidates into balanced chunks, and Fig. 4(d)'s example is a direct test
-// of this function.
-func PerCandidateWorkload(c *CST) [][]float64 {
-	n := c.Query.NumVertices()
-	table := make([][]float64, n)
+// perCandidateWorkload returns the DP table c_u(v) as one flat slice: the
+// row of query vertex u, indexed by candidate index, is
+// table[off[u]:off[u+1]]. off is appended to offBuf, so a caller's array on
+// the stack spares it an allocation and the table is the estimate's one
+// allocation — Algorithm 3 prices every piece. Fig. 4(d)'s example is a
+// direct test of this function.
+func perCandidateWorkload(c *CST, offBuf []int) (table []float64, off []int) {
+	off = append(offBuf, 0)
+	for _, cands := range c.Cand {
+		off = append(off, off[len(off)-1]+len(cands))
+	}
+	table = make([]float64, off[len(off)-1])
 	t := c.Tree
 	// Bottom-up over BFS order.
 	for i := len(t.BFSOrder) - 1; i >= 0; i-- {
 		u := t.BFSOrder[i]
-		table[u] = make([]float64, len(c.Cand[u]))
+		row := table[off[u]:off[u+1]]
 		if len(t.Children[u]) == 0 {
-			for j := range table[u] {
-				table[u][j] = 1
+			for j := range row {
+				row[j] = 1
 			}
 			continue
 		}
-		for j := range c.Cand[u] {
+		for j := range row {
 			prod := 1.0
 			for _, uc := range t.Children[u] {
+				child := table[off[uc]:off[uc+1]]
 				var sum float64
 				for _, k := range c.Adjacency(u, uc, CandIndex(j)) {
-					sum += table[uc][k]
+					sum += child[k]
 				}
 				prod *= sum
 			}
-			table[u][j] = prod
+			row[j] = prod
 		}
 	}
-	return table
+	return table, off
 }

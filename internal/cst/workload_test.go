@@ -70,7 +70,11 @@ func fig4CST() *CST {
 
 func TestWorkloadMatchesPaperExample4(t *testing.T) {
 	c := fig4CST()
-	table := PerCandidateWorkload(c)
+	flat, off := perCandidateWorkload(c, nil)
+	table := make([][]float64, len(off)-1)
+	for u := range table {
+		table[u] = flat[off[u]:off[u+1]]
+	}
 	// Leaves: c_{u3}(v9)=c_{u3}(v10)=1, c_{u2}(*)=1.
 	for _, v := range table[3] {
 		if v != 1 {
@@ -95,6 +99,10 @@ func TestWorkloadMatchesPaperExample4(t *testing.T) {
 	}
 	if w := EstimateWorkload(c); w != 7 {
 		t.Errorf("W_CST = %v, want 7", w)
+	}
+	// The flat table is the estimate's only allocation.
+	if n := testing.AllocsPerRun(10, func() { EstimateWorkload(c) }); n != 1 {
+		t.Errorf("EstimateWorkload allocates %v times, want 1", n)
 	}
 }
 
