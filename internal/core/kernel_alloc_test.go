@@ -3,26 +3,8 @@ package core
 import (
 	"testing"
 
-	"fastmatch/internal/cst"
 	"fastmatch/internal/fpgasim"
-	"fastmatch/internal/order"
-	"fastmatch/ldbc"
 )
-
-// allocPlan is benchPlan for tests: a CST/order pair whose kernel run
-// generates thousands of partial results.
-func allocPlan(t *testing.T, queryName string) (*cst.CST, order.Order) {
-	t.Helper()
-	g := ldbc.Generate(ldbc.Config{BasePersons: 200, Seed: 42})
-	q, err := ldbc.QueryByName(queryName)
-	if err != nil {
-		t.Fatal(err)
-	}
-	root := order.SelectRoot(q, g)
-	tree := order.BuildBFSTree(q, root)
-	c := cst.Build(q, g, tree)
-	return c, order.PathBased(tree, c)
-}
 
 // TestKernelRunAllocsO1PerRound is the allocation regression gate for the
 // arena refactor: with a warmed Scratch, a whole kernel run may allocate
@@ -33,7 +15,7 @@ func allocPlan(t *testing.T, queryName string) (*cst.CST, order.Order) {
 // any per-partial allocation creeps back in.
 func TestKernelRunAllocsO1PerRound(t *testing.T) {
 	for _, name := range []string{"q1", "q5"} {
-		c, o := allocPlan(t, name)
+		c, o := ldbcPlan(t, ldbcGraph(200), name)
 		opts := Options{Variant: VariantSep, Config: fpgasim.DefaultConfig(), Scratch: new(Scratch)}
 		res, err := Run(c, o, opts) // warm: sizes the scratch arena
 		if err != nil {
@@ -64,7 +46,7 @@ func TestKernelRunAllocsO1PerRound(t *testing.T) {
 func TestKernelScratchReuseMatchesFresh(t *testing.T) {
 	sc := new(Scratch)
 	for _, name := range []string{"q1", "q2", "q3", "q4", "q5"} {
-		c, o := allocPlan(t, name)
+		c, o := ldbcPlan(t, ldbcGraph(200), name)
 		fresh, err := Run(c, o, Options{Variant: VariantSep, Config: fpgasim.DefaultConfig()})
 		if err != nil {
 			t.Fatal(err)
