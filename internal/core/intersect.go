@@ -16,7 +16,11 @@ import "fastmatch/internal/cst"
 //     gallops forward (doubling steps + binary search over the bracket) and
 //     the whole batch costs O(|revList| + probes·log step) instead of
 //     probes·log|fwdList|. The default; wins on skewed lists where the
-//     cursor skips long runs.
+//     cursor skips long runs. At the last query vertex the kernel walks
+//     whichever is shortest of the partial's batch and its gallop slots'
+//     reverse lists (each clipped by gallopTo to the batch's ci range);
+//     when a reverse list drives, the same cursor probes the batch — the
+//     parent's row — in its place.
 //   - stratBitset: a per-slot bitset over C(O[d]) marked lazily from
 //     rev.Neighbors(mj) and cached across partials (markedMj); each probe is
 //     one word test. Selected for high-degree slots, where marking once and

@@ -18,11 +18,19 @@
 // list by default, or a lazily marked candidate bitset (the software
 // analogue of the paper's BRAM bitmaps) for high-degree slots; see
 // intersect.go for the selection rule. cst.Adj.Has, a plain binary search,
-// is the oracle for the strategy property tests.
+// is the oracle for the strategy property tests. At the last query vertex,
+// where most partials are generated and on cyclic queries most of them
+// die, a partial's batch is walked from the shortest of its parent row and
+// its gallop slots' reverse lists, and the visited scan runs only on
+// candidates that pass every edge check. The modelled tallies are charged
+// from the batch size, so the cycle model still sees every generated
+// partial and every edge-validation task (kernel_oracle_test.go holds Run
+// to a per-candidate reference round).
 package core
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"fastmatch/graph"
@@ -92,10 +100,11 @@ type Options struct {
 // Scratch is the kernel's reusable memory: a level-major arena backing
 // every partial mapping (the software stand-in for the BRAM partial-results
 // buffer, which the hardware sizes once at (|V(q)|−1)·No slots and never
-// allocates from again), the per-level partial descriptors, and the root
-// index sequence. Run sizes it from (|V(q)|, Config.No) on entry, growing
-// monotonically, so a pooled Scratch amortises to zero steady-state
-// allocation per kernel run.
+// allocates from again), the per-level partial descriptors — pointer-free
+// offsets into that arena, so storing one costs no write barrier and the
+// collector never scans the buffer — and the root index sequence. Run sizes
+// it from (|V(q)|, Config.No) on entry, growing monotonically, so a pooled
+// Scratch amortises to zero steady-state allocation per kernel run.
 type Scratch struct {
 	maps     []cst.CandIndex
 	vmaps    []graph.VertexID
@@ -109,32 +118,45 @@ type Scratch struct {
 	markedMj []cst.CandIndex
 }
 
-// partial is an entry of the intermediate results buffer P: the candidate
-// indices mapped so far (by matching-order position) plus a resume cursor —
-// when a partial result has more candidates than the round's remaining
-// No budget, the paper maps the first batch and resumes the rest later
-// (Section VI-B).
+// partial is an entry of the intermediate results buffer P, laid out like
+// the paper's fixed BRAM slot: off locates its mapping in the arena — a
+// partial of level d maps Scratch.maps[off:off+d], the candidate indices by
+// matching-order position, and Scratch.vmaps[off:off+d] mirrors them with
+// the data vertices, so the Visited Validator scans one contiguous array
+// instead of re-deriving each id through candAt (the hardware keeps exactly
+// this duplicated column in BRAM). cur is the resume cursor: when a partial
+// result has more candidates than the round's remaining No budget, the
+// paper maps the first batch and resumes the rest later (Section VI-B).
 type partial struct {
-	m []cst.CandIndex
-	// mv mirrors m with the mapped data vertices, so the Visited Validator
-	// scans one contiguous array instead of re-deriving each id through
-	// candAt — the hardware keeps exactly this duplicated column in BRAM.
-	mv  []graph.VertexID
-	cur int32
+	off, cur int32
 }
 
 // Run executes the FAST kernel over one CST partition with matching order o.
 func Run(c *cst.CST, o order.Order, opts Options) (Result, error) {
+	run, err := newRun(c, o, opts)
+	if err != nil {
+		return Result{}, err
+	}
+	return run.execute(), nil
+}
+
+// newRun validates the inputs, admits the run on the modelled card and
+// prepares its state.
+func newRun(c *cst.CST, o order.Order, opts Options) (*runState, error) {
 	cfg := opts.Config
 	if err := cfg.Validate(); err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	if err := o.Validate(c.Tree); err != nil {
-		return Result{}, fmt.Errorf("core: %v", err)
+		return nil, fmt.Errorf("core: %v", err)
 	}
+	nq := c.Query.NumVertices()
 	tm := newTiming(opts.Variant, cfg, c.MaxCandDegree())
-	if err := tm.admit(cfg, c.SizeBytes(), c.Query.NumVertices()); err != nil {
-		return Result{}, err
+	if err := tm.admit(cfg, c.SizeBytes(), nq); err != nil {
+		return nil, err
+	}
+	if slots := int64(cfg.No) * int64(nq*(nq-1)/2); slots > math.MaxInt32 {
+		return nil, fmt.Errorf("core: partial-mapping arena (%d slots) exceeds int32 offsets; lower No", slots)
 	}
 
 	run := &runState{
@@ -145,8 +167,7 @@ func Run(c *cst.CST, o order.Order, opts Options) (Result, error) {
 		timing: tm,
 	}
 	run.prepare()
-	res := run.execute()
-	return res, nil
+	return run, nil
 }
 
 // runState carries one kernel execution.
@@ -354,7 +375,7 @@ func (r *runState) prepare() {
 	// Level 0 is a single empty partial whose cursor walks C(root),
 	// so arbitrarily large root candidate sets respect the No bound.
 	r.levels = make([][]partial, nq)
-	sc.partials[0] = partial{m: nil, cur: 0}
+	sc.partials[0] = partial{}
 	r.levels[0] = sc.partials[0:1:1]
 	for d := 1; d < nq; d++ {
 		lo := 1 + (d-1)*no
@@ -363,23 +384,6 @@ func (r *runState) prepare() {
 	if r.c.IsEmpty() {
 		r.levels[0] = nil
 	}
-}
-
-// mapSlot returns the arena-backed mapping arrays (candidate indices and
-// mirrored data vertices) for the idx-th partial of level d.
-func (r *runState) mapSlot(d, idx int) ([]cst.CandIndex, []graph.VertexID) {
-	lo := r.mapBase[d] + idx*d
-	return r.scratch.maps[lo : lo+d : lo+d], r.scratch.vmaps[lo : lo+d : lo+d]
-}
-
-// candidatesOf returns the candidate list the Generator reads for extending
-// p at depth d: all of C(root) at depth 0, otherwise the CST adjacency of
-// the mapped parent candidate.
-func (r *runState) candidatesOf(d int, p *partial) []cst.CandIndex {
-	if d == 0 {
-		return r.rootIdx
-	}
-	return r.parentAdj[d].Neighbors(p.m[r.parentPos[d]])
 }
 
 // execute is Algorithm 4's main loop: while the buffer has work, run one
@@ -403,7 +407,12 @@ func (r *runState) execute() Result {
 			break
 		}
 	}
+	return r.result(loadCycles)
+}
 
+// result flushes the complete results and reports the run.
+func (r *runState) result(loadCycles int64) Result {
+	cfg := r.opts.Config
 	// Flush complete results from BRAM to card DRAM (4 bytes per mapped
 	// vertex id).
 	flushCycles := cfg.LoadCycles(r.count * int64(len(r.o)) * 4)
@@ -438,6 +447,13 @@ func (r *runState) deepestLevel() int {
 // round expands the partials at level d into level d+1 (Algorithms 5–8),
 // then charges the round's cycles per the variant's composition.
 //
+// A partial's batch is the next take candidates of its Generator list,
+// ascending in ci. Every candidate of it is one generated partial result
+// and |checks| edge-validation tasks to the cycle model, whether or not it
+// survives; the host only walks as much of the batch as the verdicts need,
+// and charges the tallies per partial from take (or, when Take refuses,
+// from the refused candidate's position in the batch).
+//
 // Cancellation is polled once per round by execute before each call: a round
 // emits at most No partials, so cancel latency stays bounded without putting
 // a branch in the probe loop.
@@ -449,24 +465,25 @@ func (r *runState) round(d int) {
 	u := r.o[d]
 	complete := d+1 == len(r.o)
 	level := r.levels[d]
+	maps, vmaps := r.scratch.maps, r.scratch.vmaps
 	var (
-		pops   int64
-		nextLv []partial
-		nPo    int64
-		nTn    int64
+		pops     int64
+		nextLv   []partial
+		nextBase int
+		nPo      int64
+		nTn      int64
 	)
 	if !complete {
 		nextLv = r.levels[d+1][:0]
+		nextBase = r.mapBase[d+1]
 	}
-
-	// The vertex being matched is O[d] when expanding partials that have d
-	// vertices mapped... they extend *to* depth d+1 by matching O[d].
-	checkList := r.checksFor(d)
 
 	// Hoist the level's per-check state out of the candidate loop: slice
 	// headers for the candidate array and probe metadata, plus the scratch
-	// bitset arena — the loop below touches only contiguous locals.
+	// bitset arena — the loops below touch only contiguous locals.
+	nChecks := len(r.checks[d])
 	candHere := r.candAt[d]
+	parentAdj, parentPos := r.parentAdj[d], r.parentPos[d]
 	checkPos := r.checkPos[d]
 	checkStrat := r.checkStrat[d]
 	checkRev := r.checkRev[d]
@@ -478,6 +495,8 @@ func (r *runState) round(d int) {
 	i := 0
 	for i < len(level) && nPo < budget {
 		p := &level[i]
+		m := maps[p.off : int(p.off)+d]
+		mv := vmaps[p.off : int(p.off)+d]
 		// Per-partial probe setup (Algorithm 7's batch form): every check's
 		// counterpart mapping mj is fixed for the whole batch, and the
 		// candidates below arrive in strictly ascending ci order. Gallop
@@ -485,8 +504,8 @@ func (r *runState) round(d int) {
 		// slots mark mj's reverse list once, cached across partials that
 		// share the mapping (markedMj) — clearing walks the old list, so the
 		// arena never needs a full wipe between partials.
-		for k := range checkList {
-			mj := p.m[checkPos[k]]
+		for k := range checkPos {
+			mj := m[checkPos[k]]
 			if checkStrat[k] == stratGallop {
 				r.gallop[k] = gallopState{rl: checkRev[k].Neighbors(mj)}
 				continue
@@ -506,7 +525,10 @@ func (r *runState) round(d int) {
 			}
 			marked[slot] = mj
 		}
-		cands := r.candidatesOf(d, p)
+		cands := r.rootIdx
+		if d > 0 {
+			cands = parentAdj.Neighbors(m[parentPos])
+		}
 		avail := cands[p.cur:]
 		pops++
 		space := budget - nPo
@@ -516,74 +538,78 @@ func (r *runState) round(d int) {
 			take = space
 			resumed = true
 		}
-		for _, ci := range avail[:take] {
-			nPo++
-			nTn += int64(len(checkList))
-			// Visited validation (Algorithm 6): the newly mapped data
-			// vertex must be fresh.
-			v := candHere[ci]
-			valid := true
-			for _, w := range p.mv {
-				if w == v {
-					valid = false
-					break
+		batch := avail[:take]
+		// The batch's survivors lie in the batch and in every gallop slot's
+		// reverse list. At the last level, where most candidates die, walk
+		// the shortest of those lists, clipped to the batch's ci range, and
+		// probe the others — the batch itself through a gallop cursor when
+		// a reverse list drives. Elsewhere the batch drives.
+		drive, kd := batch, -1
+		if complete && take > 0 {
+			lo, hi := batch[0], batch[take-1]
+			for k := range checkPos {
+				if checkStrat[k] != stratGallop {
+					continue
+				}
+				rl := r.gallop[k].rl
+				a := gallopTo(rl, 0, lo)
+				rl = rl[a:gallopTo(rl, a, hi+1)]
+				r.gallop[k].rl = rl
+				if len(rl) < len(drive) {
+					drive, kd = rl, k
 				}
 			}
-			// Edge validation (Algorithm 7): the new candidate must be
+		}
+		parent := gallopState{rl: batch}
+		charged := take
+	drain:
+		for j, ci := range drive {
+			if kd >= 0 && !parent.probe(ci) {
+				continue
+			}
+			// Edge validation (Algorithm 7): the candidate must be
 			// CST-adjacent to every earlier non-tree neighbour's mapping —
 			// each probe one bitset word test or one monotone cursor
 			// advance, never a per-candidate binary search.
-			if valid {
-				for k := range checkList {
-					if checkStrat[k] == stratBitset {
-						bits := checkBits[k]
-						if bits[ci>>6]&(1<<(uint(ci)&63)) == 0 {
-							valid = false
-							break
-						}
-						continue
+			for k := range checkPos {
+				if k == kd {
+					continue
+				}
+				if checkStrat[k] == stratBitset {
+					if checkBits[k][ci>>6]&(1<<(uint(ci)&63)) == 0 {
+						continue drain
 					}
-					if !r.gallop[k].probe(ci) {
-						valid = false
-						break
-					}
+				} else if !r.gallop[k].probe(ci) {
+					continue drain
 				}
 			}
-			if !valid {
+			// Visited validation (Algorithm 6) on edge-check survivors only.
+			v := candHere[ci]
+			if mapped(mv, v) {
 				continue
 			}
-			// Synchronizer (Algorithm 8): store back or report.
+			// Synchronizer (Algorithm 8): report a complete result, or
+			// store the partial back into the next level's arena slot.
 			if complete {
-				if !r.takeOne() {
+				if !r.report(mv, u, v) {
+					// Charge the batch up to the refused candidate.
+					charged = int64(j) + 1
+					if kd >= 0 {
+						charged = int64(parent.cur) + 1
+					}
 					break
 				}
-				r.count++
-				if r.opts.Collect || r.opts.Emit != nil {
-					//fastmatch:nolint hotpathalloc one embedding per emitted match, only when Collect/Emit opted in
-					e := make(graph.Embedding, len(r.o))
-					for pos2, w := range p.mv {
-						e[r.o[pos2]] = w
-					}
-					e[u] = v
-					if r.opts.Collect {
-						//fastmatch:nolint hotpathalloc collected grows only under the WithCollect opt-in
-						r.collected = append(r.collected, e)
-					}
-					if r.opts.Emit != nil {
-						r.opts.Emit(e)
-					}
-				}
-			} else {
-				// Store back into the next level's arena slot instead of a
-				// fresh allocation per partial.
-				m, mv := r.mapSlot(d+1, len(nextLv))
-				copy(m, p.m)
-				copy(mv, p.mv)
-				m[d] = ci
-				mv[d] = v
-				nextLv = append(nextLv, partial{m: m, mv: mv})
+				continue
 			}
+			off := nextBase + len(nextLv)*(d+1)
+			copy(maps[off:], m)
+			copy(vmaps[off:], mv)
+			maps[off+d] = ci
+			vmaps[off+d] = v
+			nextLv = append(nextLv, partial{off: int32(off)})
 		}
+		nPo += charged
+		nTn += charged * int64(nChecks)
 		if r.stopped {
 			break // result budget refused an embedding; abandon the run
 		}
@@ -604,15 +630,50 @@ func (r *runState) round(d int) {
 	r.partials += nPo
 	r.edgeTasks += nTn
 	r.pops += pops
-	r.cycles += r.timing.chargeRound(nPo, nTn, len(checkList))
+	r.cycles += r.timing.chargeRound(nPo, nTn, nChecks)
 
 	if hw := r.resident(); hw > r.highWater {
 		r.highWater = hw
 	}
 }
 
-// checksFor returns the edge-validation neighbour list for matching O[d].
-func (r *runState) checksFor(d int) []graph.QueryVertex { return r.checks[d] }
+// report is the Synchronizer's complete-result path (Algorithm 8): it
+// reserves one slot of the caller's result budget, counts the embedding
+// mv + (u ↦ v), and materialises it only when Collect or Emit opted in.
+// False means Take refused: the embedding is dropped and the run stops.
+func (r *runState) report(mv []graph.VertexID, u graph.QueryVertex, v graph.VertexID) bool {
+	if !r.takeOne() {
+		return false
+	}
+	r.count++
+	if r.opts.Collect || r.opts.Emit != nil {
+		//fastmatch:nolint hotpathalloc one embedding per emitted match, only when Collect/Emit opted in
+		e := make(graph.Embedding, len(r.o))
+		for pos, w := range mv {
+			e[r.o[pos]] = w
+		}
+		e[u] = v
+		if r.opts.Collect {
+			//fastmatch:nolint hotpathalloc collected grows only under the WithCollect opt-in
+			r.collected = append(r.collected, e)
+		}
+		if r.opts.Emit != nil {
+			r.opts.Emit(e)
+		}
+	}
+	return true
+}
+
+// mapped is the Visited Validator (Algorithm 6): it reports whether data
+// vertex v already appears in a partial's mapped vertices mv.
+func mapped(mv []graph.VertexID, v graph.VertexID) bool {
+	for _, w := range mv {
+		if w == v {
+			return true
+		}
+	}
+	return false
+}
 
 // resident counts partials currently buffered (level 0's root cursor is
 // bookkeeping, not a buffered partial).
