@@ -133,41 +133,41 @@ type partial struct {
 
 // Run executes the FAST kernel over one CST partition with matching order o.
 func Run(c *cst.CST, o order.Order, opts Options) (Result, error) {
-	run, err := newRun(c, o, opts)
-	if err != nil {
+	var run runState
+	if err := run.init(c, o, opts); err != nil {
 		return Result{}, err
 	}
 	return run.execute(), nil
 }
 
-// newRun validates the inputs, admits the run on the modelled card and
-// prepares its state.
-func newRun(c *cst.CST, o order.Order, opts Options) (*runState, error) {
+// init validates the inputs, admits the run on the modelled card and
+// prepares r for it.
+func (r *runState) init(c *cst.CST, o order.Order, opts Options) error {
 	cfg := opts.Config
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	if err := o.Validate(c.Tree); err != nil {
-		return nil, fmt.Errorf("core: %v", err)
+		return fmt.Errorf("core: %v", err)
 	}
 	nq := c.Query.NumVertices()
 	tm := newTiming(opts.Variant, cfg, c.MaxCandDegree())
 	if err := tm.admit(cfg, c.SizeBytes(), nq); err != nil {
-		return nil, err
+		return err
 	}
 	if slots := int64(cfg.No) * int64(nq*(nq-1)/2); slots > math.MaxInt32 {
-		return nil, fmt.Errorf("core: partial-mapping arena (%d slots) exceeds int32 offsets; lower No", slots)
+		return fmt.Errorf("core: partial-mapping arena (%d slots) exceeds int32 offsets; lower No", slots)
 	}
 
-	run := &runState{
+	*r = runState{
 		c:      c,
 		o:      o,
 		opts:   opts,
 		pos:    o.PositionOf(),
 		timing: tm,
 	}
-	run.prepare()
-	return run, nil
+	r.prepare()
+	return nil
 }
 
 // runState carries one kernel execution.

@@ -22,8 +22,8 @@ type referenceKernel struct{ r *runState }
 // referenceRun is Run with the per-candidate round. Like execute, it polls
 // Cancel once before each round.
 func referenceRun(c *cst.CST, o order.Order, opts Options) (Result, error) {
-	r, err := newRun(c, o, opts)
-	if err != nil {
+	r := new(runState)
+	if err := r.init(c, o, opts); err != nil {
 		return Result{}, err
 	}
 	loadCycles := r.timing.loadCycles(opts.Config, c.SizeBytes())

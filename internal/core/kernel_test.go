@@ -325,6 +325,14 @@ func TestRunRejectsBadInputs(t *testing.T) {
 	if _, err := Run(c, order.Order{0, 1, 2, 3}, Options{Config: fpgasim.Config{}}); err == nil {
 		t.Error("accepted zero config")
 	}
+	// A card whose BRAM admits the buffer but whose No·|V(q)|(|V(q)|−1)/2
+	// arena slots overflow the partials' int32 offsets.
+	huge := fpgasim.DefaultConfig()
+	huge.No = 1 << 29
+	huge.BRAMBytes = 1 << 40
+	if _, err := Run(c, order.Order{0, 1, 2, 3}, Options{Variant: VariantDRAM, Config: huge}); err == nil {
+		t.Error("accepted a partial-mapping arena beyond int32 offsets")
+	}
 }
 
 // TestEmptyCST: kernels on an empty search space terminate with zero count
