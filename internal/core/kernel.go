@@ -490,6 +490,9 @@ func (r *runState) round(d int) {
 	checkBits := r.checkBits[d]
 	slots := r.slotOf[d]
 	marked := r.scratch.markedMj
+	// With no Take, Collect or Emit a complete result is only counted, so
+	// the loop skips the Synchronizer call per embedding.
+	countOnly := r.opts.Take == nil && !r.opts.Collect && r.opts.Emit == nil
 
 	budget := int64(cfg.No)
 	i := 0
@@ -591,6 +594,10 @@ func (r *runState) round(d int) {
 			// Synchronizer (Algorithm 8): report a complete result, or
 			// store the partial back into the next level's arena slot.
 			if complete {
+				if countOnly {
+					r.count++
+					continue
+				}
 				if !r.report(mv, u, v) {
 					// Charge the batch up to the refused candidate.
 					charged = int64(j) + 1

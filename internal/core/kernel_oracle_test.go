@@ -260,6 +260,14 @@ func requireSameAsReference(t *testing.T, label string, c *cst.CST, o order.Orde
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
+	// A run with no Take, Collect or Emit takes the count-only path.
+	bare, err := Run(c, o, Options{Variant: card.variant, Config: card.cfg})
+	if err != nil {
+		t.Fatalf("%s count-only: %v", label, err)
+	}
+	if !reflect.DeepEqual(bare, full) {
+		t.Errorf("%s count-only: Result differs\n got  %+v\n want %+v", label, bare, full)
+	}
 	modes := []oracleMode{
 		{name: "uncut"},
 		{name: "refuse@1", refuse: 1},
