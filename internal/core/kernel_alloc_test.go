@@ -14,8 +14,9 @@ import (
 // slice per partial (thousands per run); the bound below fails loudly if
 // any per-partial allocation creeps back in.
 func TestKernelRunAllocsO1PerRound(t *testing.T) {
+	g := ldbcGraph(200)
 	for _, name := range []string{"q1", "q5"} {
-		c, o := ldbcPlan(t, ldbcGraph(200), name)
+		c, o := ldbcPlan(t, g, name)
 		opts := Options{Variant: VariantSep, Config: fpgasim.DefaultConfig(), Scratch: new(Scratch)}
 		res, err := Run(c, o, opts) // warm: sizes the scratch arena
 		if err != nil {
@@ -45,8 +46,9 @@ func TestKernelRunAllocsO1PerRound(t *testing.T) {
 // through one pool) must never change counts.
 func TestKernelScratchReuseMatchesFresh(t *testing.T) {
 	sc := new(Scratch)
+	g := ldbcGraph(200)
 	for _, name := range []string{"q1", "q2", "q3", "q4", "q5"} {
-		c, o := ldbcPlan(t, ldbcGraph(200), name)
+		c, o := ldbcPlan(t, g, name)
 		fresh, err := Run(c, o, Options{Variant: VariantSep, Config: fpgasim.DefaultConfig()})
 		if err != nil {
 			t.Fatal(err)
