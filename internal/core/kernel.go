@@ -90,10 +90,11 @@ type Options struct {
 	// kernel stops, reporting Stopped. Hosts use it to make a shared
 	// embedding limit exact across concurrently running kernels.
 	Take func() bool
-	// Scratch, when non-nil, supplies the reusable per-run buffers (the
-	// partial-mapping arena, level buffers, root index). A Scratch may be
-	// reused across sequential runs — hosts pool them — but never by two
-	// runs concurrently. Nil means the run allocates a private one.
+	// Scratch, when non-nil, supplies the reusable per-run memory (the
+	// partial-mapping arena, level buffers, root index and query-plan
+	// tables). A Scratch may be reused across sequential runs — hosts pool
+	// them — but never by two runs concurrently. Nil means the run
+	// allocates a private one.
 	Scratch *Scratch
 }
 
@@ -102,20 +103,78 @@ type Options struct {
 // buffer, which the hardware sizes once at (|V(q)|−1)·No slots and never
 // allocates from again), the per-level partial descriptors — pointer-free
 // offsets into that arena, so storing one costs no write barrier and the
-// collector never scans the buffer — and the root index sequence. Run sizes
-// it from (|V(q)|, Config.No) on entry, growing monotonically, so a pooled
-// Scratch amortises to zero steady-state allocation per kernel run.
+// collector never scans the buffer — the root index sequence, the bitset
+// arena, and the query-plan tables prepare derives from (|V(q)|, the check
+// slots). Every table grows monotonically and is rewritten in place, so a
+// Run on a warm Scratch allocates nothing at all.
 type Scratch struct {
 	maps     []cst.CandIndex
 	vmaps    []graph.VertexID
 	partials []partial
-	rootIdx  []cst.CandIndex
 	// Bitset-strategy state (see intersect.go): one bit arena shared by all
 	// bitset check slots plus the candidate index each slot currently has
 	// marked (-1 when clean). prepare re-derives the slot layout and resets
 	// both, so a pooled Scratch can cross runs over different CSTs.
 	bitWords []uint64
 	markedMj []cst.CandIndex
+	plan
+}
+
+// plan is one run's query-plan tables, indexed by matching-order position
+// d and resolved once in prepare, so round performs zero map lookups, zero
+// pointer derefs and zero indirect calls per candidate. It lives in the
+// Scratch, and prepare rewrites every entry a run reads — a pooled Scratch
+// crosses queries whose size and slot layout both grow and shrink.
+type plan struct {
+	// pos[u] is query vertex u's position in the matching order.
+	pos []int
+	// checks[d] lists the earlier non-tree neighbours (by query vertex) the
+	// Edge Validator must probe when extending to depth d. Aligned with it:
+	// checkPos[d], their order positions; checkRev[d], the reverse CSR views
+	// Edge(un → O[d]) the probes run over; checkStrat[d], each slot's
+	// strategy (intersect.go); slotOf[d], the global slot id indexing
+	// Scratch.markedMj; and checkBits[d], a bitset slot's word window of
+	// Scratch.bitWords (nil for a gallop slot). The windows are cut from
+	// the slot* backing arrays below, one entry per slot in level order.
+	checks     [][]graph.QueryVertex
+	checkPos   [][]int32
+	checkRev   [][]cst.Adj
+	checkStrat [][]strategy
+	slotOf     [][]int32
+	checkBits  [][][]uint64
+	// parentPos[d] is the order position of O[d]'s tree parent, parentAdj[d]
+	// the CSR view (two slice headers, copied by value out of the CST's flat
+	// arenas) the Generator walks at depth d, and candAt[d] is C(O[d]) for
+	// the Visited Validator's id recovery.
+	parentPos []int
+	parentAdj []cst.Adj
+	candAt    [][]graph.VertexID
+	// gallop is the cursor state of the level being expanded's gallop
+	// slots, reset per partial.
+	gallop []gallopState
+	// levels[d] holds the partials with d vertices mapped; mapBase[d] is
+	// where level d's mapping arena begins in Scratch.maps: slot i of level
+	// d is maps[mapBase[d]+i*d : mapBase[d]+(i+1)*d].
+	levels  [][]partial
+	mapBase []int
+	rootIdx []cst.CandIndex // identity sequence over C(root)
+
+	slotLo    []int // level d's slots are [slotLo[d], slotLo[d+1])
+	slotQ     []graph.QueryVertex
+	slotPos   []int32
+	slotRev   []cst.Adj
+	slotStrat []strategy
+	slotID    []int32
+	slotBits  [][]uint64
+}
+
+// resize returns s with length n, reallocating only when n exceeds its
+// capacity. Reused entries keep stale values; callers rewrite them.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // partial is an entry of the intermediate results buffer P, laid out like
@@ -137,7 +196,9 @@ func Run(c *cst.CST, o order.Order, opts Options) (Result, error) {
 	if err := run.init(c, o, opts); err != nil {
 		return Result{}, err
 	}
-	return run.execute(), nil
+	res := run.execute()
+	run.release()
+	return res, nil
 }
 
 // init validates the inputs, admits the run on the modelled card and
@@ -147,10 +208,15 @@ func (r *runState) init(c *cst.CST, o order.Order, opts Options) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	if err := o.Validate(c.Tree); err != nil {
-		return fmt.Errorf("core: %v", err)
+	sc := opts.Scratch
+	if sc == nil {
+		sc = new(Scratch)
 	}
 	nq := c.Query.NumVertices()
+	sc.pos = resize(sc.pos, nq)
+	if err := o.ValidateInto(c.Tree, sc.pos); err != nil {
+		return fmt.Errorf("core: %v", err)
+	}
 	tm := newTiming(opts.Variant, cfg, c.MaxCandDegree())
 	if err := tm.admit(cfg, c.SizeBytes(), nq); err != nil {
 		return err
@@ -160,59 +226,26 @@ func (r *runState) init(c *cst.CST, o order.Order, opts Options) error {
 	}
 
 	*r = runState{
-		c:      c,
-		o:      o,
-		opts:   opts,
-		pos:    o.PositionOf(),
-		timing: tm,
+		plan:    &sc.plan,
+		c:       c,
+		o:       o,
+		opts:    opts,
+		scratch: sc,
+		timing:  tm,
 	}
 	r.prepare()
 	return nil
 }
 
-// runState carries one kernel execution.
+// runState carries one kernel execution. Its query-plan tables are the
+// Scratch's (plan); the rest is the run's own tallies.
 type runState struct {
-	c    *cst.CST
-	o    order.Order
-	opts Options
-	pos  []int
-
-	// checks[d] lists the earlier non-tree neighbours (by query vertex) the
-	// Edge Validator must probe when extending to depth d.
-	checks [][]graph.QueryVertex
-	// parentPos[d] is the order position of O[d]'s tree parent.
-	parentPos []int
-	// Hot-path hoists, resolved once in prepare so round performs zero map
-	// lookups, zero pointer derefs and zero indirect calls per candidate:
-	// parentAdj[d] is the CSR view (two slice headers, copied by value out
-	// of the CST's flat arenas) the Generator walks at depth d,
-	// checkAdj[d]/checkPos[d] (aligned with checks[d]) are the Edge
-	// Validator's probe targets, and candAt[d] is C(O[d]) for the Visited
-	// Validator's id recovery.
-	parentAdj []cst.Adj
-	checkAdj  [][]cst.Adj
-	checkPos  [][]int32
-	candAt    [][]graph.VertexID
-	// Adaptive edge validation (intersect.go): checkRev[d] mirrors
-	// checkAdj[d] with the reverse CSR views, checkStrat[d] the per-slot
-	// strategy, slotOf[d] the global slot id (indexing scratch.markedMj and,
-	// through bitBase, the scratch bit arena). gallopRevs/gallopCurs are the
-	// per-round cursor state for the gallop slots of the level being
-	// expanded, reset per partial.
-	checkRev   [][]cst.Adj
-	checkStrat [][]strategy
-	slotOf     [][]int32
-	bitBase    []int
-	checkBits  [][][]uint64 // bitset slots: pre-cut word windows, else nil
-	gallop     []gallopState
-
-	levels  [][]partial     // levels[d]: partials with d vertices mapped
-	rootIdx []cst.CandIndex // identity sequence over C(root)
+	*plan
+	c       *cst.CST
+	o       order.Order
+	opts    Options
 	scratch *Scratch
-	// mapBase[d] is where level d's mapping arena begins in scratch.maps;
-	// slot i of level d is maps[mapBase[d]+i*d : mapBase[d]+(i+1)*d].
-	mapBase []int
-	timing  *timing
+	timing  timing
 	cycles  int64 // modelled cycles so far: load + Σ rounds + flush
 
 	count     int64
@@ -240,150 +273,139 @@ func (r *runState) takeOne() bool {
 	return true
 }
 
-// prepare runs once per Run before the round loop; its loops are bounded by
-// query-plan size (order, slots, per-level check tables) or are straight-line
-// candidate-array fills, so cancellation is first observed in execute.
+// prepare runs once per Run before the round loop and fills the Scratch's
+// plan tables, arenas and levels in place: on a warm Scratch it allocates
+// nothing. Its loops are bounded by query-plan size (order, slots, per-level
+// check tables) or are straight-line candidate-array fills, so cancellation
+// is first observed in execute.
 //
 //fastmatch:nolint cancelpoll one-shot query-plan-sized setup; execute polls per round
 func (r *runState) prepare() {
 	nq := r.c.Query.NumVertices()
 	no := r.opts.Config.No
-	sc := r.opts.Scratch
-	if sc == nil {
-		sc = new(Scratch)
-	}
-	r.scratch = sc
+	sc, p := r.scratch, r.plan
 
-	r.checks = make([][]graph.QueryVertex, nq)
-	r.parentPos = make([]int, nq)
-	r.parentAdj = make([]cst.Adj, nq)
-	r.checkAdj = make([][]cst.Adj, nq)
-	r.checkPos = make([][]int32, nq)
-	r.candAt = make([][]graph.VertexID, nq)
-	r.checkRev = make([][]cst.Adj, nq)
-	r.checkStrat = make([][]strategy, nq)
-	r.slotOf = make([][]int32, nq)
-	nSlots, maxChecks := 0, 0
-	for d, u := range r.o {
-		r.candAt[d] = r.c.Candidates(u)
-		if d > 0 {
-			up := r.c.Tree.Parent[u]
-			r.parentPos[d] = r.pos[up]
-			r.parentAdj[d] = r.c.Edge(up, u)
-		}
-		for _, un := range r.c.Query.Neighbors(u) {
-			if un == r.c.Tree.Parent[u] {
-				continue
-			}
-			if r.pos[un] < d {
-				fwd := r.c.Edge(u, un)
-				r.checks[d] = append(r.checks[d], un)
-				r.checkAdj[d] = append(r.checkAdj[d], fwd)
-				r.checkPos[d] = append(r.checkPos[d], int32(r.pos[un]))
-				r.checkRev[d] = append(r.checkRev[d], r.c.Edge(un, u))
-				// Strategy (intersect.go): slots whose forward lists are
-				// long on average pay off a per-mj bitset mark; the rest
-				// gallop a cursor over the reverse list.
-				strat := stratGallop
-				if nc := len(r.candAt[d]); nc > 0 && len(fwd.Targets) >= bitsetMinAvgDeg*nc {
-					strat = stratBitset
-				}
-				r.checkStrat[d] = append(r.checkStrat[d], strat)
-				r.slotOf[d] = append(r.slotOf[d], int32(nSlots))
-				nSlots++
-			}
-		}
-		if len(r.checks[d]) > maxChecks {
-			maxChecks = len(r.checks[d])
-		}
-	}
-	// Bitset arena layout: bitBase[slot] is the word offset of the slot's
-	// bitset over C(O[d]); gallop slots occupy no words. The arena and the
-	// marked indices are reset here because a pooled Scratch crosses runs
-	// whose slot layouts differ.
-	r.bitBase = make([]int, nSlots)
+	// The check slots, level by level: one per earlier non-tree neighbour.
+	// Strategy (intersect.go): slots whose lists are long on average pay
+	// off a per-mj bitset mark; the rest gallop a cursor over the reverse
+	// list. Both directions of a CST edge hold the same number of targets,
+	// so the reverse view prices the slot.
+	p.candAt = resize(p.candAt, nq)
+	p.parentPos = resize(p.parentPos, nq)
+	p.parentAdj = resize(p.parentAdj, nq)
+	p.slotLo = resize(p.slotLo, nq+1)
+	p.slotQ, p.slotPos, p.slotRev = p.slotQ[:0], p.slotPos[:0], p.slotRev[:0]
+	p.slotStrat, p.slotID, p.slotBits = p.slotStrat[:0], p.slotID[:0], p.slotBits[:0]
 	words := 0
-	for d := range r.o {
-		for k, strat := range r.checkStrat[d] {
-			if strat != stratBitset {
+	for d, u := range r.o {
+		p.candAt[d] = r.c.Candidates(u)
+		up := r.c.Tree.Parent[u]
+		if d > 0 {
+			p.parentPos[d] = p.pos[up]
+			p.parentAdj[d] = r.c.Edge(up, u)
+		}
+		p.slotLo[d] = len(p.slotQ)
+		nc := len(p.candAt[d])
+		for _, un := range r.c.Query.Neighbors(u) {
+			if un == up || p.pos[un] >= d {
 				continue
 			}
-			r.bitBase[r.slotOf[d][k]] = words
-			words += bitsetWords(len(r.candAt[d]))
+			rev := r.c.Edge(un, u)
+			strat := stratGallop
+			if nc > 0 && len(rev.Targets) >= bitsetMinAvgDeg*nc {
+				strat = stratBitset
+				words += bitsetWords(nc)
+			}
+			p.slotID = append(p.slotID, int32(len(p.slotQ)))
+			p.slotQ = append(p.slotQ, un)
+			p.slotPos = append(p.slotPos, int32(p.pos[un]))
+			p.slotRev = append(p.slotRev, rev)
+			p.slotStrat = append(p.slotStrat, strat)
+			p.slotBits = append(p.slotBits, nil)
 		}
 	}
-	if cap(sc.bitWords) < words {
-		sc.bitWords = make([]uint64, words)
-	}
-	sc.bitWords = sc.bitWords[:words]
+	nSlots := len(p.slotQ)
+	p.slotLo[nq] = nSlots
+
+	// Bitset arena: each bitset slot owns a window of words over C(O[d]);
+	// gallop slots occupy none. The arena and the marked indices are reset
+	// here because a pooled Scratch crosses runs whose slot layouts differ.
+	sc.bitWords = resize(sc.bitWords, words)
 	clear(sc.bitWords)
-	if cap(sc.markedMj) < nSlots {
-		sc.markedMj = make([]cst.CandIndex, nSlots)
-	}
-	sc.markedMj = sc.markedMj[:nSlots]
+	sc.markedMj = resize(sc.markedMj, nSlots)
 	for i := range sc.markedMj {
 		sc.markedMj[i] = -1
 	}
-	r.gallop = make([]gallopState, maxChecks)
-	// Pre-cut each bitset slot's word window once; the probe loop then
-	// indexes a stable slice instead of re-deriving arena offsets.
-	r.checkBits = make([][][]uint64, nq)
+
+	// Cut each level's windows once; the probe loop then indexes stable
+	// slices instead of re-deriving arena offsets.
+	p.checks = resize(p.checks, nq)
+	p.checkPos = resize(p.checkPos, nq)
+	p.checkRev = resize(p.checkRev, nq)
+	p.checkStrat = resize(p.checkStrat, nq)
+	p.slotOf = resize(p.slotOf, nq)
+	p.checkBits = resize(p.checkBits, nq)
+	maxChecks, base := 0, 0
 	for d := range r.o {
-		if len(r.checkStrat[d]) == 0 {
-			continue
-		}
-		r.checkBits[d] = make([][]uint64, len(r.checkStrat[d]))
-		for k, strat := range r.checkStrat[d] {
-			if strat == stratBitset {
-				base := r.bitBase[r.slotOf[d][k]]
-				r.checkBits[d][k] = sc.bitWords[base : base+bitsetWords(len(r.candAt[d]))]
+		lo, hi := p.slotLo[d], p.slotLo[d+1]
+		maxChecks = max(maxChecks, hi-lo)
+		for s := lo; s < hi; s++ {
+			if p.slotStrat[s] == stratBitset {
+				n := bitsetWords(len(p.candAt[d]))
+				p.slotBits[s] = sc.bitWords[base : base+n : base+n]
+				base += n
 			}
 		}
+		p.checks[d] = p.slotQ[lo:hi:hi]
+		p.checkPos[d] = p.slotPos[lo:hi:hi]
+		p.checkRev[d] = p.slotRev[lo:hi:hi]
+		p.checkStrat[d] = p.slotStrat[lo:hi:hi]
+		p.slotOf[d] = p.slotID[lo:hi:hi]
+		p.checkBits[d] = p.slotBits[lo:hi:hi]
 	}
+	p.gallop = resize(p.gallop, maxChecks)
 
 	// Partial-mapping arena: level d holds at most No partials (one round's
 	// output) of mapping width d, and deepest-first scheduling guarantees a
 	// level is empty whenever a round refills it, so level-major slots are
 	// reused round after round with no per-partial allocation.
-	r.mapBase = make([]int, nq)
+	p.mapBase = resize(p.mapBase, nq)
 	total := 0
-	for d := 1; d < nq; d++ {
-		r.mapBase[d] = total
+	for d := range nq {
+		p.mapBase[d] = total
 		total += no * d
 	}
-	if cap(sc.maps) < total {
-		sc.maps = make([]cst.CandIndex, total)
-		sc.vmaps = make([]graph.VertexID, total)
-	}
-	sc.maps = sc.maps[:total]
-	sc.vmaps = sc.vmaps[:total]
-	np := 1 + (nq-1)*no
-	if cap(sc.partials) < np {
-		sc.partials = make([]partial, np)
-	}
-	sc.partials = sc.partials[:np]
+	sc.maps = resize(sc.maps, total)
+	sc.vmaps = resize(sc.vmaps, total)
+	sc.partials = resize(sc.partials, 1+(nq-1)*no)
 
 	nroot := len(r.c.Candidates(r.o[0]))
-	if cap(sc.rootIdx) < nroot {
-		sc.rootIdx = make([]cst.CandIndex, nroot)
-	}
-	r.rootIdx = sc.rootIdx[:nroot]
-	for i := range r.rootIdx {
-		r.rootIdx[i] = cst.CandIndex(i)
+	p.rootIdx = resize(p.rootIdx, nroot)
+	for i := range p.rootIdx {
+		p.rootIdx[i] = cst.CandIndex(i)
 	}
 
 	// Level 0 is a single empty partial whose cursor walks C(root),
 	// so arbitrarily large root candidate sets respect the No bound.
-	r.levels = make([][]partial, nq)
+	p.levels = resize(p.levels, nq)
 	sc.partials[0] = partial{}
-	r.levels[0] = sc.partials[0:1:1]
+	p.levels[0] = sc.partials[0:1:1]
 	for d := 1; d < nq; d++ {
 		lo := 1 + (d-1)*no
-		r.levels[d] = sc.partials[lo : lo : lo+no]
+		p.levels[d] = sc.partials[lo : lo : lo+no]
 	}
 	if r.c.IsEmpty() {
-		r.levels[0] = nil
+		p.levels[0] = nil
 	}
+}
+
+// release drops the plan's references into the run's CST, so a pooled
+// Scratch does not keep the last piece it ran alive.
+func (r *runState) release() {
+	clear(r.candAt)
+	clear(r.parentAdj)
+	clear(r.slotRev)
+	clear(r.gallop)
 }
 
 // execute is Algorithm 4's main loop: while the buffer has work, run one
@@ -490,6 +512,7 @@ func (r *runState) round(d int) {
 	checkBits := r.checkBits[d]
 	slots := r.slotOf[d]
 	marked := r.scratch.markedMj
+	gallop := r.gallop
 	// With no Take, Collect or Emit a complete result is only counted, so
 	// the loop skips the Synchronizer call per embedding.
 	countOnly := r.opts.Take == nil && !r.opts.Collect && r.opts.Emit == nil
@@ -510,7 +533,7 @@ func (r *runState) round(d int) {
 		for k := range checkPos {
 			mj := m[checkPos[k]]
 			if checkStrat[k] == stratGallop {
-				r.gallop[k] = gallopState{rl: checkRev[k].Neighbors(mj)}
+				gallop[k] = gallopState{rl: checkRev[k].Neighbors(mj)}
 				continue
 			}
 			slot := slots[k]
@@ -554,10 +577,10 @@ func (r *runState) round(d int) {
 				if checkStrat[k] != stratGallop {
 					continue
 				}
-				rl := r.gallop[k].rl
+				rl := gallop[k].rl
 				a := gallopTo(rl, 0, lo)
 				rl = rl[a:gallopTo(rl, a, hi+1)]
-				r.gallop[k].rl = rl
+				gallop[k].rl = rl
 				if len(rl) < len(drive) {
 					drive, kd = rl, k
 				}
@@ -582,7 +605,7 @@ func (r *runState) round(d int) {
 					if checkBits[k][ci>>6]&(1<<(uint(ci)&63)) == 0 {
 						continue drain
 					}
-				} else if !r.gallop[k].probe(ci) {
+				} else if !gallop[k].probe(ci) {
 					continue drain
 				}
 			}

@@ -78,13 +78,13 @@ type timing struct {
 // Generator and Edge Validator touch the CST, so their initiation intervals
 // depend on where the CST lives: BRAM (II = 1, or ⌈D_CST/PortMax⌉ for
 // over-long adjacency lists) versus DRAM (II = DRAM latency).
-func newTiming(v Variant, cfg fpgasim.Config, maxCandDeg int) *timing {
+func newTiming(v Variant, cfg fpgasim.Config, maxCandDeg int) timing {
 	bramResident := v != VariantDRAM
 	latency := int64(cfg.DRAMLatency)
 	if bramResident {
 		latency = int64(cfg.BRAMLatency)
 	}
-	return &timing{
+	return timing{
 		variant:      v,
 		bramResident: bramResident,
 		read:         fpgasim.Module{Depth: cfg.DepthRead, II: 1},

@@ -10,10 +10,25 @@ package cst
 //	W_CST  = Σ_{v ∈ C(root)} c_root(v)
 //
 // Counts are float64 because real workloads overflow int64; the scheduler
-// only compares magnitudes.
+// only compares magnitudes. Its DP table is the one allocation; a caller
+// pricing piece after piece holds a WorkloadTable instead.
 func EstimateWorkload(c *CST) float64 {
+	var wt WorkloadTable
+	return wt.Estimate(c)
+}
+
+// WorkloadTable reuses the DP table of EstimateWorkload across estimates:
+// it grows to the largest Σ|C(u)| seen and is never shrunk, so pricing a
+// stream of pieces (Algorithm 3 prices every one) allocates only when a
+// piece outgrows all before it. The zero value is ready; one WorkloadTable
+// must not serve two estimates concurrently.
+type WorkloadTable struct{ buf []float64 }
+
+// Estimate returns EstimateWorkload(c), computed in the reused table.
+func (wt *WorkloadTable) Estimate(c *CST) float64 {
 	var offBuf [64]int
-	table, off := perCandidateWorkload(c, offBuf[:0])
+	table, off := perCandidateWorkload(c, offBuf[:0], wt.buf)
+	wt.buf = table
 	root := c.Tree.Root
 	var total float64
 	for _, w := range table[off[root]:off[root+1]] {
@@ -25,15 +40,19 @@ func EstimateWorkload(c *CST) float64 {
 // perCandidateWorkload returns the DP table c_u(v) as one flat slice: the
 // row of query vertex u, indexed by candidate index, is
 // table[off[u]:off[u+1]]. off is appended to offBuf, so a caller's array on
-// the stack spares it an allocation and the table is the estimate's one
-// allocation — Algorithm 3 prices every piece. Fig. 4(d)'s example is a
-// direct test of this function.
-func perCandidateWorkload(c *CST, offBuf []int) (table []float64, off []int) {
+// the stack spares it an allocation, and the table reuses buf's storage
+// when it is large enough — every entry is rewritten. Fig. 4(d)'s example
+// is a direct test of this function.
+func perCandidateWorkload(c *CST, offBuf []int, buf []float64) (table []float64, off []int) {
 	off = append(offBuf, 0)
 	for _, cands := range c.Cand {
 		off = append(off, off[len(off)-1]+len(cands))
 	}
-	table = make([]float64, off[len(off)-1])
+	if n := off[len(off)-1]; cap(buf) >= n {
+		table = buf[:n]
+	} else {
+		table = make([]float64, n)
+	}
 	t := c.Tree
 	// Bottom-up over BFS order.
 	for i := len(t.BFSOrder) - 1; i >= 0; i-- {

@@ -70,7 +70,7 @@ func fig4CST() *CST {
 
 func TestWorkloadMatchesPaperExample4(t *testing.T) {
 	c := fig4CST()
-	flat, off := perCandidateWorkload(c, nil)
+	flat, off := perCandidateWorkload(c, nil, nil)
 	table := make([][]float64, len(off)-1)
 	for u := range table {
 		table[u] = flat[off[u]:off[u+1]]
@@ -133,6 +133,45 @@ func TestWorkloadDPEqualsEnumerationProperty(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// A WorkloadTable carried across CSTs whose Σ|C(u)| grows and shrinks
+// prices each exactly as a fresh EstimateWorkload does — a stale row from a
+// larger CST never leaks in — and once it has seen the largest, pricing the
+// whole sequence again allocates nothing.
+func TestWorkloadTableReuseMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	var cs []*CST
+	sizes := map[int]bool{}
+	for len(cs) < 12 {
+		g := graph.RandomUniform(graph.GenConfig{
+			NumVertices: 40 + rng.Intn(120), NumLabels: 2, AvgDegree: 2 + rng.Float64()*4, Seed: rng.Int63(),
+		})
+		q := graph.RandomConnectedQuery("rq", 2+rng.Intn(4), rng.Intn(2), g.NumLabels(), rng)
+		c := Build(q, g, order.BuildBFSTree(q, 0))
+		n := 0
+		for _, cands := range c.Cand {
+			n += len(cands)
+		}
+		sizes[n] = true
+		cs = append(cs, c)
+	}
+	if len(sizes) < 6 {
+		t.Fatalf("only %d distinct table sizes across %d CSTs; the sequence does not grow and shrink", len(sizes), len(cs))
+	}
+	var wt WorkloadTable
+	for i, c := range cs {
+		if got, want := wt.Estimate(c), EstimateWorkload(c); got != want {
+			t.Errorf("CST %d: reused table estimates %v, fresh %v", i, got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(5, func() {
+		for _, c := range cs {
+			wt.Estimate(c)
+		}
+	}); n != 0 {
+		t.Errorf("a warm WorkloadTable allocates %v times per pass; want 0", n)
 	}
 }
 

@@ -62,8 +62,13 @@ func (d *Device) StageDRAM(bytes int64) (time.Duration, error) {
 	if d.failed {
 		return 0, fmt.Errorf("fpgasim: device %d: %w", d.ID, ErrDeviceFailed)
 	}
-	var spike time.Duration
-	if out := d.Faults.Eval(faultinject.SiteDeviceStage(d.ID)); out.Fault {
+	// The site name is formatted only when an injector is installed; with
+	// none, staging a piece allocates nothing.
+	var out faultinject.Outcome
+	if d.Faults != nil {
+		out = d.Faults.Eval(faultinject.SiteDeviceStage(d.ID))
+	}
+	if out.Fault {
 		switch out.Kind {
 		case faultinject.Death:
 			d.failed = true
@@ -73,15 +78,13 @@ func (d *Device) StageDRAM(bytes int64) (time.Duration, error) {
 			// a Panic rule scheduled here degrades to a transient fault.
 			return 0, fmt.Errorf("fpgasim: device %d staging %d bytes: %w (%w)", d.ID, bytes, ErrTransient, out.Error())
 		}
-	} else {
-		spike = out.Delay
 	}
 	if d.dramUsed+bytes > d.Cfg.DRAMBytes {
 		return 0, fmt.Errorf("fpgasim: DRAM overflow: %d + %d > %d", d.dramUsed, bytes, d.Cfg.DRAMBytes)
 	}
 	d.dramUsed += bytes
 	d.transfers += bytes
-	return d.Cfg.PCIeDuration(bytes) + spike, nil
+	return d.Cfg.PCIeDuration(bytes) + out.Delay, nil
 }
 
 // Fail marks the card dead, as a scheduled Death outcome does. Staging

@@ -131,3 +131,20 @@ func TestDeviceResourceAccounting(t *testing.T) {
 		t.Error("NewDevice accepted zero config")
 	}
 }
+
+// Staging a piece on a card with no fault injector allocates nothing: the
+// host stages one piece per kernel launch.
+func TestStageDRAMAllocsWithoutInjector(t *testing.T) {
+	d, err := NewDevice(3, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		if _, err := d.StageDRAM(1 << 10); err != nil {
+			t.Fatal(err)
+		}
+		d.ReleaseDRAM(1 << 10)
+	}); n != 0 {
+		t.Errorf("StageDRAM allocates %v times per call without an injector; want 0", n)
+	}
+}

@@ -482,9 +482,10 @@ type pipeline struct {
 
 	// Producer state, touched only on the producer (the caller's) goroutine.
 	sched      scheduler
-	lastResume time.Time     // where the PartitionTime clock last started
-	cpuQueue   []*cst.CST    // Workers <= 1: the δ-share, drained when the producer returns
-	fpgaCh     chan *cst.CST // Workers > 1: the consumers' bounded queues
+	workload   cst.WorkloadTable // the δ estimate's DP table, reused piece after piece
+	lastResume time.Time         // where the PartitionTime clock last started
+	cpuQueue   []*cst.CST        // Workers <= 1: the δ-share, drained when the producer returns
+	fpgaCh     chan *cst.CST     // Workers > 1: the consumers' bounded queues
 	cpuCh      chan *cst.CST
 	stats      []consumerStats // [w] is offload worker w's; [0] the inline pool's
 	shareStats consumerStats   // the δ-share consumer's
@@ -668,7 +669,7 @@ func (p *pipeline) produce(c *cst.CST) (err error) {
 // steal is the Partition Steal hook: the non-committing δ test on a piece
 // that still violates the thresholds.
 func (p *pipeline) steal(piece *cst.CST) bool {
-	if !p.sched.tryCPU(cst.EstimateWorkload(piece)) {
+	if !p.sched.tryCPU(p.workload.Estimate(piece)) {
 		return false
 	}
 	p.rep.CSTBytes += piece.SizeBytes()
@@ -681,7 +682,7 @@ func (p *pipeline) route(piece *cst.CST) {
 	if p.halted() {
 		return
 	}
-	w := cst.EstimateWorkload(piece)
+	w := p.workload.Estimate(piece)
 	p.rep.CSTBytes += piece.SizeBytes()
 	p.dispatch(piece, p.sched.assignToCPU(w))
 }

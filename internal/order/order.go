@@ -37,6 +37,13 @@ func (o Order) PositionOf() []int {
 // tree parent precedes it, and each non-root vertex has some query neighbour
 // before it (connectivity).
 func (o Order) Validate(t *Tree) error {
+	return o.ValidateInto(t, make([]int, t.Query.NumVertices()))
+}
+
+// ValidateInto is Validate over a caller-supplied position table of length
+// |V(q)|. On success pos holds what PositionOf returns, so a caller that
+// needs both — the kernel, once per run — pays one pass and no allocation.
+func (o Order) ValidateInto(t *Tree, pos []int) error {
 	n := t.Query.NumVertices()
 	if len(o) != n {
 		return fmt.Errorf("order length %d, want %d", len(o), n)
@@ -44,7 +51,9 @@ func (o Order) Validate(t *Tree) error {
 	if o[0] != t.Root {
 		return fmt.Errorf("order starts at %d, want root %d", o[0], t.Root)
 	}
-	pos := make([]int, n)
+	if len(pos) != n {
+		return fmt.Errorf("position table length %d, want %d", len(pos), n)
+	}
 	for i := range pos {
 		pos[i] = -1
 	}
