@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"fastmatch/graph"
@@ -321,7 +322,8 @@ func digest(es []graph.Embedding) emitTrace {
 // from its shortest list and charges the tallies per partial, must report
 // exactly the Result and Emit sequence of the per-candidate reference — on
 // LDBC q0–q8, on random power-law and uniform graphs with cyclic queries
-// under path-based and random orders, on both cards, with Collect, with Take
+// under path-based and random orders, on a dense one-label graph whose
+// check slots take the bitset, on both cards, with Collect, with Take
 // refusing the first, a middle and the last embedding, and with Cancel
 // firing part-way.
 func TestKernelMatchesReferenceRound(t *testing.T) {
@@ -367,5 +369,37 @@ func TestKernelMatchesReferenceRound(t *testing.T) {
 				requireSameAsReference(t, fmt.Sprintf("random%d/%s/%s", trial, ord.name, card.name), c, ord.o, card, true)
 			}
 		}
+	}
+
+	// A dense one-label graph, whose average degree reaches
+	// bitsetMinAvgDeg, so its check slots take the bitset strategy, which
+	// neither LDBC nor the sparse random graphs above reach. At least one
+	// run must lay out bitset words, or the case has stopped testing it.
+	dense := graph.RandomUniform(graph.GenConfig{NumVertices: 120, NumLabels: 1, AvgDegree: bitsetMinAvgDeg + 8, Seed: 47})
+	words := 0
+	for _, q := range []*graph.Query{
+		graph.MustQuery("dense-triangle", []graph.Label{0, 0, 0}, [][2]graph.QueryVertex{{0, 1}, {1, 2}, {2, 0}}),
+		graph.MustQuery("dense-4clique", []graph.Label{0, 0, 0, 0},
+			[][2]graph.QueryVertex{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}}),
+	} {
+		tr := order.BuildBFSTree(q, order.SelectRoot(q, dense))
+		c := cst.Build(q, dense, tr)
+		orders := []order.Order{order.PathBased(tr, c)}
+		if ro := order.RandomConnected(tr, rng); !slices.Equal(ro, orders[0]) {
+			orders = append(orders, ro)
+		}
+		for _, o := range orders {
+			for _, card := range oracleCards() {
+				requireSameAsReference(t, fmt.Sprintf("%s/%v/%s", q.Name(), o, card.name), c, o, card, true)
+				sc := new(Scratch)
+				if _, err := Run(c, o, Options{Variant: card.variant, Config: card.cfg, Scratch: sc}); err != nil {
+					t.Fatal(err)
+				}
+				words += len(sc.bitWords)
+			}
+		}
+	}
+	if words == 0 {
+		t.Fatal("no dense run laid out bitset words: the oracle no longer reaches the bitset strategy")
 	}
 }

@@ -65,21 +65,35 @@ func BenchmarkCSTBuild(b *testing.B) {
 // over a CST that genuinely violates the thresholds. The base-200 cases use
 // benchInput's 16 KiB / 64 thresholds; the base-1600 cases the thresholds
 // the host derives on the 32 KiB card (δS = 32 KiB minus the partial-results
-// buffer, δD 512), where restrict is most of a warm engine op.
+// buffer, δD 512), where restrict is most of a warm engine op. q8 there
+// splits into 12,459 pieces. The steal=decline cases add a Steal hook that
+// declines every offer, as the host's δ test mostly does, so every piece
+// that is split again is priced first.
 func BenchmarkPartition(b *testing.B) {
 	for _, sc := range []struct {
 		base    int
 		queries []string
+		steal   bool
 	}{
-		{200, []string{"q1", "q5"}},
-		{1600, []string{"q1", "q3", "q5"}},
+		{200, []string{"q1", "q5"}, false},
+		{1600, []string{"q1", "q3", "q5", "q8"}, false},
+		{1600, []string{"q1", "q3", "q5"}, true},
 	} {
 		for _, name := range sc.queries {
 			c, o, cfg := benchInput(b, name, sc.base)
 			if sc.base > 200 {
 				cfg = cardPartition(32<<10, c.Query.NumVertices())
 			}
-			b.Run(fmt.Sprintf("base=%d/%s", sc.base, name), func(b *testing.B) {
+			label := fmt.Sprintf("base=%d/%s", sc.base, name)
+			var priced float64
+			if sc.steal {
+				label = fmt.Sprintf("base=%d/steal=decline/%s", sc.base, name)
+				cfg.Steal = func(of Offer) bool {
+					priced += of.Workload
+					return false
+				}
+			}
+			b.Run(label, func(b *testing.B) {
 				b.ReportAllocs()
 				var pieces int
 				for i := 0; i < b.N; i++ {
@@ -89,6 +103,9 @@ func BenchmarkPartition(b *testing.B) {
 					} else if n != pieces {
 						b.Fatalf("piece drift: %d then %d", pieces, n)
 					}
+				}
+				if sc.steal && priced == 0 {
+					b.Fatal("no offer was priced")
 				}
 			})
 		}

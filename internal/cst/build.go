@@ -129,8 +129,8 @@ func BuildWorkers(q *graph.Query, g *graph.Graph, t *order.Tree, workers int) *C
 		c.sizeBytes += int64(len(cands)) * 4
 	}
 	var uncancelled restrictScratch
-	c.writeAdjacency(appendEdgePairs(nil, t), stamp, &uncancelled, func(a, b graph.QueryVertex, fwd, rev []int32, tgt []CandIndex) (int32, bool) {
-		return c.probeRows(g, a, b, stamp, fwd, rev, tgt), true
+	c.writeAdjacency(appendEdgePairs(nil, t), stamp, &uncancelled, func(a, b graph.QueryVertex, fwd, rev []int32, tgt []CandIndex) int32 {
+		return c.probeRows(g, a, b, stamp, fwd, rev, tgt)
 	})
 	return c
 }

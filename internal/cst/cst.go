@@ -27,7 +27,7 @@ type CandIndex = int32
 // destination vertex, sorted ascending. It models one BRAM-resident array of
 // the paper's CST layout. Adj is a value type: Offsets and Targets are
 // subslices of the owning CST's flat index arenas (or, for adjacency a
-// restricted piece shares with its parent, of the parent's arenas), so hot
+// restricted piece shares with its ancestor, of the ancestor's arenas), so hot
 // paths hoist the two slice headers once and then touch only contiguous
 // int32 arrays — no per-candidate pointer deref.
 type Adj struct {
@@ -83,9 +83,9 @@ type CST struct {
 	// adj is a dense |V(q)|×|V(q)| table of CSR views indexed from*nq+to —
 	// query vertices are small ints, so edge lookup is one multiply-add.
 	// Entries are Valid exactly for the directed versions of q's edges, and
-	// the views point into the flat offset/target arenas writeAdjacency
+	// the views point into the flat offset/target arenas Build or restrict
 	// fills (one arena pair per CST; a restricted piece's unchanged edges
-	// alias its parent's arenas instead of copying).
+	// alias its ancestor's arenas instead of copying).
 	adj []Adj
 
 	// Size and degree statistics are queried on every partition decision,
@@ -306,10 +306,8 @@ func (c *CST) ComputeStats() Stats {
 // one of two modes. With tgt nil it counts: fwd receives the a → b offsets,
 // rev[j+1] the length of reverse row j, and the longest forward row is
 // returned. Otherwise fwd already holds the offsets and the rows, each
-// ascending, are written into tgt — probed again (Build) or copied from
-// where the counting call staged them (restrict). It reports false when a
-// cancel hook fired.
-type adjRows func(a, b graph.QueryVertex, fwd, rev []int32, tgt []CandIndex) (int32, bool)
+// ascending, are written into tgt.
+type adjRows func(a, b graph.QueryVertex, fwd, rev []int32, tgt []CandIndex) int32
 
 // writeAdjacency fills both directions of every query edge (a,b) in pairs
 // into one exactly sized offsets arena and one exactly sized targets arena,
@@ -332,20 +330,16 @@ func (c *CST) writeAdjacency(pairs [][2]graph.QueryVertex, cur []uint32, sc *res
 		return s
 	}
 	for _, e := range pairs {
+		if sc.polled() {
+			return false
+		}
 		a, b := e[0], e[1]
 		fwd := carve(len(c.Cand[a]) + 1)
 		rev := carve(len(c.Cand[b]) + 1)
-		fwdMax, ok := rows(a, b, fwd, rev, nil)
+		fwdMax := rows(a, b, fwd, rev, nil)
+		revMax, ok := revOffsets(rev, sc)
 		if !ok {
 			return false
-		}
-		var revMax int32
-		for j := 1; j < len(rev); j++ {
-			if sc.polled() {
-				return false
-			}
-			revMax = max(revMax, rev[j])
-			rev[j] += rev[j-1]
 		}
 		c.setAdj(a, b, Adj{Offsets: fwd, maxDeg: fwdMax})
 		c.setAdj(b, a, Adj{Offsets: rev, maxDeg: revMax})
@@ -364,9 +358,7 @@ func (c *CST) writeAdjacency(pairs [][2]graph.QueryVertex, cur []uint32, sc *res
 		fwd.Targets = tgtArena[tgtLo : tgtLo+n : tgtLo+n]
 		rev.Targets = tgtArena[tgtLo+n : tgtLo+2*n : tgtLo+2*n]
 		tgtLo += 2 * n
-		if _, ok := rows(a, b, fwd.Offsets, nil, fwd.Targets); !ok {
-			return false
-		}
+		rows(a, b, fwd.Offsets, nil, fwd.Targets)
 		if !transpose(*fwd, *rev, cur, sc) {
 			return false
 		}
@@ -374,6 +366,20 @@ func (c *CST) writeAdjacency(pairs [][2]graph.QueryVertex, cur []uint32, sc *res
 		c.maxDeg = max(c.maxDeg, int(fwd.maxDeg), int(rev.maxDeg))
 	}
 	return true
+}
+
+// revOffsets turns the reverse row lengths in rev[1:] into row offsets and
+// returns the longest row. It reports false when sc's cancel hook fired.
+func revOffsets(rev []int32, sc *restrictScratch) (int32, bool) {
+	var revMax int32
+	for j := 1; j < len(rev); j++ {
+		if j&pollMask == 0 && sc.polled() {
+			return 0, false
+		}
+		revMax = max(revMax, rev[j])
+		rev[j] += rev[j-1]
+	}
+	return revMax, true
 }
 
 // transpose fills the rows of rev, the reverse direction of fwd: walking
@@ -387,7 +393,7 @@ func transpose(fwd, rev Adj, cur []uint32, sc *restrictScratch) bool {
 		cur[j] = uint32(rev.Offsets[j])
 	}
 	for i := 0; i+1 < len(fwd.Offsets); i++ {
-		if sc.polled() {
+		if i&pollMask == 0 && sc.polled() {
 			return false
 		}
 		for _, j := range fwd.Targets[fwd.Offsets[i]:fwd.Offsets[i+1]] {

@@ -3,6 +3,7 @@ package cst
 import (
 	"math/bits"
 	"slices"
+	"sync"
 
 	"fastmatch/graph"
 	"fastmatch/internal/order"
@@ -18,18 +19,40 @@ type PartitionConfig struct {
 	// FixedK, when > 0, overrides the greedy partition factor with a fixed
 	// k — the Fig. 8 k-determination experiment.
 	FixedK int
-	// Steal, when non-nil, is offered every CST that still violates a
-	// threshold before it is split further. Returning true takes ownership
-	// of the CST (the caller will process it elsewhere — FAST-SHARE hands
-	// such pieces to the CPU, "reducing the cost of partitioning" as
-	// Section VII-B explains) and stops its recursion.
-	Steal func(*CST) bool
+	// Steal, when non-nil, is offered every piece that still violates a
+	// threshold before it is split further, priced by its W_CST. Returning
+	// true takes ownership of the piece (the caller will process it
+	// elsewhere — FAST-SHARE hands such pieces to the CPU, "reducing the
+	// cost of partitioning" as Section VII-B explains) and stops its
+	// recursion; a taker builds the piece with Offer.Build. A declined offer
+	// costs no allocation, and the piece it priced is never built unless it
+	// is handed out later.
+	Steal func(Offer) bool
 	// Cancel, when non-nil, is polled between restrict-and-recurse steps and,
 	// amortised, inside restrict itself. Once it returns true Partition stops
 	// producing: no further process calls or Steal offers are made. The piece
 	// count returned by a cancelled run reflects only the pieces delivered
 	// before cancellation was observed.
 	Cancel func() bool
+}
+
+// Offer is a piece that Partition offers to PartitionConfig.Steal.
+type Offer struct {
+	// Workload is the piece's W_CST: EstimateWorkload of the piece Build
+	// returns, computed without building it.
+	Workload float64
+	p        *partitioner
+}
+
+// Build materialises the offered piece. It may be called only inside the
+// Steal call that received the offer; it returns nil when the partition was
+// cancelled, and the same piece when called again.
+func (o Offer) Build() *CST {
+	p := o.p
+	if p.offered == nil {
+		p.offered = p.sc.build()
+	}
+	return p.offered
 }
 
 // cancelled reports whether a Cancel hook is installed and has fired.
@@ -39,7 +62,13 @@ func (cfg PartitionConfig) cancelled() bool {
 
 // Fits reports whether c satisfies both thresholds.
 func (cfg PartitionConfig) Fits(c *CST) bool {
-	return c.SizeBytes() <= cfg.MaxSizeBytes && c.MaxCandDegree() <= cfg.MaxCandDegree
+	return cfg.fits(c.SizeBytes(), c.MaxCandDegree())
+}
+
+// fits reports whether a piece of the given size and longest list
+// satisfies both thresholds.
+func (cfg PartitionConfig) fits(size int64, maxDeg int) bool {
+	return size <= cfg.MaxSizeBytes && maxDeg <= cfg.MaxCandDegree
 }
 
 // Partition splits c into pieces that each satisfy cfg, following
@@ -50,81 +79,162 @@ func (cfg PartitionConfig) Fits(c *CST) bool {
 // order they become valid, which is how the scheduler overlaps partitioning
 // with FPGA execution. The partitions' search spaces are disjoint and their
 // union is exactly c's search space (tested property).
+//
+// Only pieces that are handed out are built: one that fits, one a Steal
+// hook takes, and one whose C(u) is a singleton (or cannot be split) and
+// moves to the next order position. A piece that is split again at the same
+// position is only counted — its size, longest list and, when offered, its
+// W_CST — and its chunks are cut from the last built ancestor, since
+// restricting a restriction at the same u is restricting the ancestor to
+// the composed range.
 func Partition(c *CST, o order.Order, cfg PartitionConfig, process func(*CST)) int {
-	count := 0
-	// One scratch serves the whole recursion; it carries the cancel hook
-	// into restrict itself (amortised poll), so even a single huge restrict
-	// observes cancellation promptly.
-	sc := &restrictScratch{cancel: cfg.Cancel}
-	var rec func(cur *CST, index int)
-	rec = func(cur *CST, index int) {
-		if cfg.cancelled() {
-			return
-		}
-		if cfg.Fits(cur) || index >= len(o) {
-			// index can run off the end when every C(u) is a singleton and
-			// the CST still violates a threshold; it cannot be split
-			// further, so it is processed as-is (the kernel falls back to
-			// a multi-cycle probe for over-long lists).
-			process(cur)
-			count++
-			return
-		}
-		if cfg.Steal != nil && cfg.Steal(cur) {
-			count++
-			return
-		}
-		u := o[index]
-		k := cfg.partitionFactor(cur)
-		if k > len(cur.Cand[u]) {
-			k = len(cur.Cand[u])
-		}
-		if k <= 1 {
-			// Cannot split at u; move to the next order position.
-			rec(cur, index+1)
-			return
-		}
-		for i := 0; i < k; i++ {
-			if cfg.cancelled() {
-				return
-			}
-			chunk := evenChunk(len(cur.Cand[u]), k, i)
-			part := restrict(cur, u, chunk, sc)
-			if part == nil {
-				return // cancelled mid-restrict: stop producing
-			}
-			if part.IsEmpty() {
-				continue // restriction stranded a branch: no embeddings here
-			}
-			switch {
-			case cfg.Fits(part):
-				process(part)
-				count++
-			case len(part.Cand[u]) == 1:
-				rec(part, index+1)
-			default:
-				rec(part, index)
-			}
-		}
-	}
-	rec(c, 0)
-	return count
+	p := partitioners.Get().(*partitioner)
+	defer func() {
+		p.release()
+		partitioners.Put(p)
+	}()
+	p.cfg, p.o, p.process, p.count = cfg, o, process, 0
+	// The scratch carries the cancel hook into restrict itself (amortised
+	// poll), so even a single huge restrict observes cancellation promptly.
+	p.sc.cancel, p.sc.degLimit = cfg.Cancel, cfg.MaxCandDegree
+	p.rec(c, 0)
+	return p.count
 }
 
-// partitionFactor implements line 2 of Algorithm 2: the larger of the two
-// violation ratios, rounded up.
-func (cfg PartitionConfig) partitionFactor(c *CST) int {
+// partitioners pools the state of Partition calls, so that the scratch
+// buffers sized by one call serve the next.
+var partitioners = sync.Pool{New: func() any { return new(partitioner) }}
+
+// partitioner is one Partition call's recursion state and scratch.
+type partitioner struct {
+	cfg     PartitionConfig
+	o       order.Order
+	process func(*CST)
+	count   int
+	sc      restrictScratch
+	wt      WorkloadTable // prices the built pieces that are offered
+	offered *CST          // the piece on offer once built; nil until then
+}
+
+// release drops every reference into the caller's CSTs and hooks, so a
+// pooled partitioner pins nothing.
+func (p *partitioner) release() {
+	p.cfg, p.o, p.process, p.offered = PartitionConfig{}, nil, nil, nil
+	p.sc.cancel, p.sc.from = nil, nil
+}
+
+// rec is Algorithm 2 on a built piece cur at order position index.
+func (p *partitioner) rec(cur *CST, index int) {
+	if p.cfg.cancelled() {
+		return
+	}
+	if p.cfg.Fits(cur) || index >= len(p.o) {
+		// index can run off the end when every C(u) is a singleton and the
+		// CST still violates a threshold; it cannot be split further, so it
+		// is processed as-is (the kernel falls back to a multi-cycle probe
+		// for over-long lists).
+		p.process(cur)
+		p.count++
+		return
+	}
+	if p.cfg.Steal != nil && p.offer(cur, p.wt.Estimate(cur)) {
+		return
+	}
+	u := p.o[index]
+	p.split(cur, cur, index, [2]int{0, len(cur.Cand[u])}, cur.SizeBytes(), cur.MaxCandDegree())
+}
+
+// resplit is Algorithm 2 on the piece of a that the scratch last counted,
+// whose C(u) is the range span of a's C(u) at u = o[index]: it neither fits
+// nor is a singleton at u, so unless a Steal hook takes it, it is split at
+// the same position without being built.
+func (p *partitioner) resplit(a *CST, index int, span [2]int) {
+	if p.cfg.cancelled() {
+		return
+	}
+	size, maxDeg := p.sc.size, p.sc.maxDeg
+	if p.cfg.Steal != nil && p.offer(nil, p.wt.estimate(a, &p.sc.keptMask)) {
+		return
+	}
+	p.split(a, nil, index, span, size, maxDeg)
+}
+
+// offer prices a piece to the Steal hook: piece is the built piece, or nil
+// for the one the scratch last counted. It reports whether the hook took it.
+func (p *partitioner) offer(piece *CST, w float64) bool {
+	p.offered = piece
+	taken := p.cfg.Steal(Offer{Workload: w, p: p})
+	p.offered = nil
+	if taken {
+		p.count++
+	}
+	return taken
+}
+
+// split cuts a piece at u = o[index] into k chunks of span, a range of a's
+// C(u), and restricts a to each: piece is the piece itself when it is
+// built (then a == piece), or nil when it is the one the scratch last
+// counted, of size size and longest list maxDeg.
+func (p *partitioner) split(a, piece *CST, index int, span [2]int, size int64, maxDeg int) {
+	u := p.o[index]
+	k := min(p.cfg.partitionFactor(size, maxDeg), span[1]-span[0])
+	if k <= 1 {
+		// Cannot split at u; move to the next order position.
+		if piece == nil {
+			if piece = p.sc.build(); piece == nil {
+				return
+			}
+		}
+		p.rec(piece, index+1)
+		return
+	}
+	sc := &p.sc
+	for i := 0; i < k; i++ {
+		if p.cfg.cancelled() {
+			return
+		}
+		chunk := evenChunk(span[1]-span[0], k, i)
+		chunk[0] += span[0]
+		chunk[1] += span[0]
+		if !sc.count(a, u, chunk) {
+			return // cancelled mid-restrict: stop producing
+		}
+		if sc.empty {
+			continue // restriction stranded a branch: no embeddings here
+		}
+		fits := p.cfg.fits(sc.size, sc.maxDeg)
+		if !fits && chunk[1]-chunk[0] > 1 {
+			p.resplit(a, index, chunk)
+			continue
+		}
+		part := sc.build()
+		if part == nil {
+			return
+		}
+		if fits {
+			p.process(part)
+			p.count++
+		} else {
+			p.rec(part, index+1)
+		}
+	}
+}
+
+// partitionFactor implements line 2 of Algorithm 2 for a piece of the given
+// size and longest list: the larger of the two violation ratios, rounded
+// up.
+func (cfg PartitionConfig) partitionFactor(size int64, maxDeg int) int {
 	if cfg.FixedK > 0 {
 		return cfg.FixedK
 	}
 	k := 1
 	if cfg.MaxSizeBytes > 0 {
-		if r := ceilDiv(c.SizeBytes(), cfg.MaxSizeBytes); int(r) > k {
+		if r := ceilDiv(size, cfg.MaxSizeBytes); int(r) > k {
 			k = int(r)
 		}
 	}
 	if cfg.MaxCandDegree > 0 {
-		if r := ceilDiv(c.MaxCandDegree(), cfg.MaxCandDegree); r > k {
+		if r := ceilDiv(maxDeg, cfg.MaxCandDegree); r > k {
 			k = r
 		}
 	}
@@ -146,59 +256,78 @@ func evenChunk(n, k, i int) [2]int {
 	return [2]int{lo, hi}
 }
 
-// restrictScratch holds restrict's per-call working state so that the
-// recursion's repeated restrict steps reuse buffers instead of allocating
-// them per piece. Only bookkeeping lives here; everything that escapes into
-// the produced CST is freshly allocated. A scratch is single-goroutine state,
-// owned by one Partition call.
+// pollMask sets how often restrict's loops tick the amortised cancel poll:
+// once per block of pollMask+1 rows (or bitmap entries), with the row index
+// tested against the mask so the per-row cost is one predictable branch.
+const pollMask = 63
+
+// restrictScratch holds restrict's working state: the count phase's
+// results for the last piece counted, and the buffers both phases reuse
+// from piece to piece. Only bookkeeping lives here; everything that escapes
+// into a built CST is freshly allocated. A scratch is single-goroutine
+// state, owned by one Partition call at a time.
 type restrictScratch struct {
-	inSub   []bool // u's tree subtree
-	changed []bool // vertices that lose candidates in this piece
-	// kept[w] marks, per vertex in u's subtree, the candidate indices that
-	// survive; keptList[w] lists them, in discovery order until the rebuild
-	// sorts the changed vertices' lists ascending.
-	kept     [][]bool
-	keptList [][]CandIndex
-	remap    [][]CandIndex // old index -> new index, written for kept entries only
-	// pairs holds the rebuilt query edges, each oriented from the changed
-	// endpoint whose rows are walked; cursor is the transpose's write
-	// cursor; stage holds the forward rows between the counting and the
-	// writing pass (the one buffer that grows with the pieces).
-	pairs  [][2]graph.QueryVertex
-	cursor []uint32
-	stage  []CandIndex
+	// from and u are the last count's ancestor and split vertex; the
+	// per-vertex state below is in from's index space.
+	from  *CST
+	u     graph.QueryVertex
+	inSub []bool // u's tree subtree
+	keptMask
+	remap [][]CandIndex // old index -> new index, written for kept entries only
+	// edgeList holds every query edge once; pairs the ones rebuilt for the
+	// piece, each oriented from the endpoint whose rows are walked, and
+	// targets the entries each pair's count found in one direction.
+	edgeList [][2]graph.QueryVertex
+	pairs    [][2]graph.QueryVertex
+	targets  []int
+	// The last count's statistics of the piece. maxDeg is exact where it
+	// exceeds degLimit, the partition's δD, and at most δD otherwise:
+	// longest reverse rows are counted only on edges whose ancestor rows
+	// could exceed δD, since below it they decide nothing.
+	empty    bool
+	size     int64
+	maxDeg   int
+	degLimit int
+	// revLen[j] counts reverse row j where the count needs the longest;
+	// it is zero but at the indices touched lists while the count runs.
+	revLen  []int32
+	touched []CandIndex
+	cursor  []uint32 // the transpose's write cursor
 
 	// cancel is the owning Partition call's PartitionConfig.Cancel, threaded
 	// into restrict itself so a single huge restrict step observes
-	// cancellation mid-loop instead of only between pieces. ticks amortises
-	// the poll (the internal/baseline deadline tick pattern): the hook —
-	// typically a ctx.Err() check behind an atomic — runs once per 4096
-	// loop iterations, keeping the hot loops branch-cheap. The counter
-	// deliberately persists across restrict calls on the same scratch, so
-	// many small pieces amortise exactly like one large one.
+	// cancellation mid-loop instead of only between pieces. The loops tick
+	// once per block of rows, and ticks amortises the poll further (the
+	// internal/baseline deadline tick pattern): the hook — typically a
+	// ctx.Err() check behind an atomic — runs once per 64 ticks, so at most
+	// every 4096 rows. The counter deliberately persists across restrict
+	// calls on the same scratch, so many small pieces amortise exactly like
+	// one large one.
 	cancel func() bool
 	ticks  uint32
 }
 
+// keptMask describes a counted piece in its ancestor's index space.
+type keptMask struct {
+	changed []bool // vertices that lose candidates in this piece
+	// kept[w][i] == gen marks, per vertex in u's subtree, the candidate
+	// indices that survive; a new count bumps gen instead of clearing.
+	// keptList[w] lists them, in discovery order until the build sorts the
+	// changed vertices' lists ascending.
+	gen      uint32
+	kept     [][]uint32
+	keptList [][]CandIndex
+}
+
 // polled reports whether the owning Partition call was cancelled, checking
-// the hook only every 4096th call; a scratch without a hook (Build's) never
-// is. It stays within the inlining budget, so the per-row loops pay one
-// branch for it.
+// the hook only every 64th call; a scratch without a hook (Build's) never
+// is. The loops call it once per block of rows.
 func (sc *restrictScratch) polled() bool {
 	if sc.cancel == nil {
 		return false
 	}
 	sc.ticks++
-	return sc.ticks&4095 == 1 && sc.cancel()
-}
-
-// grow sizes the scratch for an n-vertex query and clears the per-vertex
-// flags; the inner buffers are cleared lazily where they are (re)used.
-func (sc *restrictScratch) grow(n int) {
-	sc.inSub, sc.changed = resized(sc.inSub, n), resized(sc.changed, n)
-	clear(sc.inSub)
-	clear(sc.changed)
-	sc.kept, sc.keptList, sc.remap = resized(sc.kept, n), resized(sc.keptList, n), resized(sc.remap, n)
+	return sc.ticks&63 == 1 && sc.cancel()
 }
 
 // resized returns s with length n, reusing its capacity, and the contents
@@ -208,22 +337,20 @@ func resized[T any](s []T, n int) []T {
 }
 
 // sortKept orders keptList[w] ascending: by sorting it when it is small
-// against |C(w)|, otherwise by one scan of the kept bitmap. It reports false
-// when the cancel hook fired.
+// against |C(w)|, otherwise by one scan of the kept stamps. It reports
+// false when the cancel hook fired.
 func (sc *restrictScratch) sortKept(w graph.QueryVertex) bool {
-	kl, kw := sc.keptList[w], sc.kept[w]
+	kl, kw, gen := sc.keptList[w], sc.kept[w], sc.gen
 	if len(kl)*bits.Len(uint(len(kl))) < len(kw) {
 		slices.Sort(kl)
 		return true
 	}
-	// The kept entries are dense here, so polling per kept entry still
-	// polls every few bitmap entries.
 	n := 0
-	for i, ok := range kw {
-		if ok {
-			if sc.polled() {
-				return false
-			}
+	for i, s := range kw {
+		if i&pollMask == 0 && sc.polled() {
+			return false
+		}
+		if s == gen {
 			kl[n] = CandIndex(i)
 			n++
 		}
@@ -231,66 +358,75 @@ func (sc *restrictScratch) sortKept(w graph.QueryVertex) bool {
 	return true
 }
 
-// restrict builds a new CST from cur with C(u) limited to the given index
-// chunk. Vertices preceding u in the order keep all candidates (lines 7-8 of
-// Algorithm 2); vertices in u's tree subtree keep only candidates that can
-// reach the chunk through tree edges (lines 9-12) — every other vertex
-// trivially reaches the chunk through the unrestricted prefix. Adjacency
-// lists are rebuilt against the kept candidates (line 13).
+// count is restrict's count phase: the piece of a with C(u) cut to chunk,
+// an index range of a's C(u). Vertices preceding u in the order keep all
+// candidates (lines 7-8 of Algorithm 2); vertices in u's tree subtree keep
+// only candidates that can reach the chunk through tree edges (lines 9-12)
+// — every other vertex trivially reaches the chunk through the unrestricted
+// prefix. count finds the kept candidates, then counts each rebuilt edge's
+// rows once, which gives the piece's emptiness, SizeBytes and
+// MaxCandDegree without building it; build then materialises the piece
+// from this state.
 //
-// A piece costs work in proportion to its own size: reachability and the
-// rebuild walk only kept rows, and each changed query edge is walked in one
-// direction, the other being its transpose. Per vertex w of u's subtree two
-// O(|C(w)|) passes remain — clearing kept[w], and, when the kept share is
-// large, the bitmap scan that lists the kept candidates ascending — and an
-// edge into an unchanged vertex t carries all |C(t)|+1 of its offsets.
+// A count costs work in proportion to the piece: reachability and the
+// counts walk only kept rows, and each changed query edge is walked in one
+// direction, the other being counted from the same rows. No per-vertex
+// state is cleared in proportion to a's candidate sets: the kept marks are
+// stamps, and the reverse-row counters are cleared through the indices
+// they touched.
 //
-// restrict polls sc's amortised cancel hook inside its reachability and
-// rebuild loops and returns nil once it fires, so a cancelled partitioner's
-// latency is bounded by ~4096 candidate rows rather than by one full
-// restrict over a huge piece. Callers must treat a nil return as "stop
-// producing", never as an empty piece.
-func restrict(cur *CST, u graph.QueryVertex, chunk [2]int, sc *restrictScratch) *CST {
-	t := cur.Tree
-	n := cur.Query.NumVertices()
+// count polls sc's amortised cancel hook once per row block and reports
+// false once it fires; callers must then stop producing.
+func (sc *restrictScratch) count(a *CST, u graph.QueryVertex, chunk [2]int) bool {
+	t := a.Tree
+	n := a.Query.NumVertices()
+	if sc.gen++; sc.gen == 0 {
+		// The stamps wrapped: start over on fresh ones, so that no old mark
+		// reads as current.
+		sc.kept, sc.gen = nil, 1
+	}
+	sc.inSub, sc.changed = resized(sc.inSub, n), resized(sc.changed, n)
+	clear(sc.inSub)
+	clear(sc.changed)
+	sc.kept, sc.keptList, sc.remap = resized(sc.kept, n), resized(sc.keptList, n), resized(sc.remap, n)
+	sc.from, sc.u = a, u
+	gen := sc.gen
 
-	sc.grow(n)
 	// inSub[w] marks u's tree subtree: only those vertices carry
 	// per-candidate bookkeeping at all (everything else keeps its whole
 	// candidate set).
-	inSub := sc.inSub
+	inSub, kept, keptList := sc.inSub, sc.kept, sc.keptList
 	markSubtree(t, u, inSub)
-	kept, keptList := sc.kept, sc.keptList
 	for w := 0; w < n; w++ {
 		if inSub[w] {
-			kept[w] = resized(kept[w], len(cur.Cand[w]))
-			clear(kept[w])
+			kept[w] = resized(kept[w], len(a.Cand[w]))
 			keptList[w] = keptList[w][:0]
 		}
 	}
+	ku, lu := kept[u], keptList[u]
 	for i := chunk[0]; i < chunk[1]; i++ {
-		if sc.polled() {
-			return nil
+		if (i-chunk[0])&pollMask == 0 && sc.polled() {
+			return false
 		}
-		kept[u][i] = true
-		keptList[u] = append(keptList[u], CandIndex(i))
+		ku[i] = gen
+		lu = append(lu, CandIndex(i))
 	}
+	keptList[u] = lu
 	// Top-down reachability through tree edges inside u's subtree. Only
 	// the kept parent candidates are walked.
 	for _, w := range t.BFSOrder {
 		if !inSub[w] || w == u {
 			continue
 		}
-		wp := t.Parent[w] // wp is in the subtree too (only u's parent is outside)
-		adj := cur.Edge(wp, w)
+		adj := a.Edge(t.Parent[w], w) // the parent is in the subtree too (only u's parent is outside)
 		kw, lw := kept[w], keptList[w]
-		for _, pi := range keptList[wp] {
-			if sc.polled() {
-				return nil
+		for r, pi := range keptList[t.Parent[w]] {
+			if r&pollMask == 0 && sc.polled() {
+				return false
 			}
 			for _, ci := range adj.Neighbors(pi) {
-				if !kw[ci] {
-					kw[ci] = true
+				if kw[ci] != gen {
+					kw[ci] = gen
 					lw = append(lw, ci)
 				}
 			}
@@ -298,125 +434,279 @@ func restrict(cur *CST, u graph.QueryVertex, chunk [2]int, sc *restrictScratch) 
 		keptList[w] = lw
 	}
 
-	// Materialise the restricted CST. Vertices outside u's subtree keep
-	// their candidate sets verbatim, so any adjacency list between two
-	// unchanged vertices is shared with the parent CST rather than copied
-	// (its views alias the parent's arenas) — CSTs are immutable after
-	// construction. A changed vertex's kept candidates are listed ascending
-	// (u's list is the chunk already) and only they get a remap entry; the
-	// kept bitmap says which entries are valid.
-	part := newCST(cur.Query, t)
-	changed, remap := sc.changed, sc.remap
+	changed := sc.changed
+	sc.empty, sc.size, sc.maxDeg = false, 0, 0
+	for w := 0; w < n; w++ {
+		nw := len(a.Cand[w])
+		// keptList holds distinct indices, so full length means all kept.
+		if inSub[w] && len(keptList[w]) != nw {
+			changed[w] = true
+			nw = len(keptList[w])
+		}
+		sc.empty = sc.empty || nw == 0
+		sc.size += int64(nw) * 4
+	}
+	if sc.empty {
+		return true
+	}
+
+	// Adjacency: an edge between two unchanged vertices is shared with a,
+	// and its size and cached longest row fold in O(1). Every other query
+	// edge is rebuilt in one direction only. A tree edge inside u's subtree
+	// is walked from its parent f, whose kept rows keep every target — the
+	// reachability pass kept them — so its rows count in O(1) each. Any
+	// other edge is walked from a changed endpoint f — the one keeping fewer
+	// candidates when both changed — and its targets are filtered through
+	// the other endpoint's kept stamps when that changed too.
+	sc.edgeList = appendEdgePairs(sc.edgeList[:0], t)
+	sc.pairs, sc.targets = sc.pairs[:0], sc.targets[:0]
+	for _, e := range sc.edgeList {
+		if sc.polled() {
+			return false
+		}
+		f, to := e[0], e[1]
+		if !changed[f] && !changed[to] {
+			for _, v := range [2]Adj{a.Edge(f, to), a.Edge(to, f)} {
+				sc.size += int64(len(v.Offsets)+len(v.Targets)) * 4
+				sc.maxDeg = max(sc.maxDeg, int(v.maxDeg))
+			}
+			continue
+		}
+		if !(t.Parent[to] == f && inSub[f]) && (!changed[f] || (changed[to] && len(keptList[to]) < len(keptList[f]))) {
+			f, to = to, f
+		}
+		adj, keptTo, filter := a.Edge(f, to), kept[to], sc.filtered(f, to)
+		targets, fwdMax := len(adj.Targets), int(adj.maxDeg)
+		if changed[f] {
+			targets, fwdMax = 0, 0
+			for r, i := range keptList[f] {
+				if r&pollMask == 0 && sc.polled() {
+					return false
+				}
+				row := adj.Neighbors(i)
+				d := len(row)
+				if filter {
+					d = 0
+					for _, j := range row {
+						if keptTo[j] == gen {
+							d++
+						}
+					}
+				}
+				fwdMax = max(fwdMax, d)
+				targets += d
+			}
+		}
+		// A reverse row of the piece is no longer than the ancestor's.
+		if int(a.Edge(to, f).maxDeg) > sc.degLimit {
+			revMax, ok := sc.countReverse(f, to)
+			if !ok {
+				return false
+			}
+			sc.maxDeg = max(sc.maxDeg, revMax)
+		}
+		sc.size += int64(sc.candCount(f)+1+sc.candCount(to)+1+2*targets) * 4
+		sc.maxDeg = max(sc.maxDeg, fwdMax)
+		sc.pairs, sc.targets = append(sc.pairs, [2]graph.QueryVertex{f, to}), append(sc.targets, targets)
+	}
+	return true
+}
+
+// filtered reports whether the rows of the counted piece's rebuilt edge
+// f → to reach candidates of to that the piece drops: whether to changed,
+// unless f is its tree parent, whose kept rows reach only kept candidates
+// (u's parent, outside the subtree, is never f).
+func (sc *restrictScratch) filtered(f, to graph.QueryVertex) bool {
+	return sc.changed[to] && sc.from.Tree.Parent[to] != f
+}
+
+// candCount returns |C(w)| in the counted piece.
+func (sc *restrictScratch) candCount(w graph.QueryVertex) int {
+	if sc.changed[w] {
+		return len(sc.keptList[w])
+	}
+	return len(sc.from.Cand[w])
+}
+
+// countReverse returns the longest reverse row of the counted piece's
+// rebuilt edge f → to: the most kept rows of f that share one target. It
+// leaves revLen cleared.
+func (sc *restrictScratch) countReverse(f, to graph.QueryVertex) (int, bool) {
+	a := sc.from
+	adj, keptTo, filter, gen := a.Edge(f, to), sc.kept[to], sc.filtered(f, to), sc.gen
+	sc.revLen = resized(sc.revLen, len(a.Cand[to]))
+	revLen, touched := sc.revLen, sc.touched[:0]
+	var revMax int32
+	ok := true
+	// f is in u's subtree, so keptList[f] lists its kept rows even when it
+	// keeps them all.
+	for r, i := range sc.keptList[f] {
+		if r&pollMask == 0 && sc.polled() {
+			ok = false
+			break
+		}
+		for _, j := range adj.Neighbors(i) {
+			if filter && keptTo[j] != gen {
+				continue
+			}
+			if revLen[j] == 0 {
+				touched = append(touched, j)
+			}
+			revLen[j]++
+			revMax = max(revMax, revLen[j])
+		}
+	}
+	for _, j := range touched {
+		revLen[j] = 0
+	}
+	sc.touched = touched
+	return int(revMax), ok
+}
+
+// build is restrict's build phase: it materialises the non-empty piece the
+// last count described. Vertices outside u's subtree keep their candidate
+// sets verbatim, so any adjacency list between two unchanged vertices is
+// shared with the ancestor rather than copied (its views alias the
+// ancestor's arenas) — CSTs are immutable after construction. A changed
+// vertex's kept candidates are listed ascending (u's list is the chunk
+// already) and only they get a remap entry. Each rebuilt edge takes its row
+// lengths from the count and its rows from the ancestor's, filtered again
+// as they are written; the reverse direction is the transpose. Everything
+// the piece owns lands in three arenas — candidates, offsets, targets — so
+// a build performs O(1) allocations however many vertices changed.
+//
+// build polls sc's amortised cancel hook once per row block and returns nil
+// once it fires; callers must treat a nil return as "stop producing", never
+// as an empty piece.
+func (sc *restrictScratch) build() *CST {
+	a, u := sc.from, sc.u
+	n := a.Query.NumVertices()
+	changed, keptList, remap := sc.changed, sc.keptList, sc.remap
+	part := newCST(a.Query, a.Tree)
 	totalKept := 0
 	for w := 0; w < n; w++ {
-		// keptList holds distinct indices, so full length means all kept.
-		if inSub[w] && len(keptList[w]) != len(cur.Cand[w]) {
-			changed[w] = true
+		if changed[w] {
 			totalKept += len(keptList[w])
 		}
 	}
 	candArena := make([]graph.VertexID, totalKept)
 	for w := 0; w < n; w++ {
 		if !changed[w] {
-			part.Cand[w] = cur.Cand[w]
+			part.Cand[w] = a.Cand[w]
 			continue
 		}
 		if w != u && !sc.sortKept(w) {
 			return nil
 		}
 		kl := keptList[w]
-		remap[w] = resized(remap[w], len(cur.Cand[w]))
+		remap[w] = resized(remap[w], len(a.Cand[w]))
 		cands := candArena[:len(kl):len(kl)]
 		candArena = candArena[len(kl):]
 		for r, i := range kl {
-			if sc.polled() {
+			if r&pollMask == 0 && sc.polled() {
 				return nil
 			}
 			remap[w][i] = CandIndex(r)
-			cands[r] = cur.Cand[w][i]
+			cands[r] = a.Cand[w][i]
 		}
 		part.Cand[w] = cands
 	}
 	for _, cands := range part.Cand {
 		part.sizeBytes += int64(len(cands)) * 4
 	}
-
-	// Adjacency: share untouched edges (folding their size and cached
-	// longest row into the piece's partition stats in O(1)); rebuild each
-	// other query edge in one direction only, from a changed endpoint f —
-	// the one keeping fewer candidates when both changed — whose kept rows
-	// are walked in ascending order, filtering the targets through the
-	// other endpoint's kept bitmap and remap when it changed too. The
-	// reverse direction is the transpose. Everything the piece owns lands
-	// in three arenas — candidates, offsets, targets — so a restrict step
-	// performs O(1) allocations however many vertices changed.
-	sc.pairs = appendEdgePairs(sc.pairs[:0], t)
-	pairs := sc.pairs[:0]
-	maxTo, maxStage := 0, 0
-	for _, e := range sc.pairs {
+	for _, e := range sc.edgeList {
 		if sc.polled() {
 			return nil
 		}
-		a, b := e[0], e[1]
-		if !changed[a] && !changed[b] {
-			for _, v := range [2]Adj{cur.Edge(a, b), cur.Edge(b, a)} {
-				part.sizeBytes += int64(len(v.Offsets))*4 + int64(len(v.Targets))*4
+		x, y := e[0], e[1]
+		if !changed[x] && !changed[y] {
+			for _, v := range [2]Adj{a.Edge(x, y), a.Edge(y, x)} {
+				part.sizeBytes += int64(len(v.Offsets)+len(v.Targets)) * 4
 				part.maxDeg = max(part.maxDeg, int(v.maxDeg))
 			}
-			part.setAdj(a, b, cur.Edge(a, b))
-			part.setAdj(b, a, cur.Edge(b, a))
-			continue
+			part.setAdj(x, y, a.Edge(x, y))
+			part.setAdj(y, x, a.Edge(y, x))
 		}
-		if !changed[a] || (changed[b] && len(part.Cand[b]) < len(part.Cand[a])) {
-			a, b = b, a
-		}
-		pairs = append(pairs, [2]graph.QueryVertex{a, b})
-		maxTo = max(maxTo, len(part.Cand[b]))
-		maxStage += len(cur.Edge(a, b).Targets)
 	}
+	offTotal, tgtTotal, maxTo := 0, 0, 0
+	for p, e := range sc.pairs {
+		offTotal += len(part.Cand[e[0]]) + len(part.Cand[e[1]]) + 2
+		tgtTotal += 2 * sc.targets[p]
+		maxTo = max(maxTo, len(part.Cand[e[1]]))
+	}
+	offArena := make([]int32, offTotal)
+	tgtArena := make([]CandIndex, tgtTotal)
 	sc.cursor = resized(sc.cursor, maxTo)
-	// The counting pass stages the forward rows in sc.stage, sized once for
-	// the parent's edges; the writing pass copies them into the piece's
-	// arena.
-	stage, staged := slices.Grow(sc.stage[:0], maxStage), 0
-	ok := part.writeAdjacency(pairs, sc.cursor, sc, func(f, to graph.QueryVertex, fwd, rev []int32, tgt []CandIndex) (int32, bool) {
-		if tgt != nil {
-			staged += copy(tgt, stage[staged:])
-			return 0, true
+	for p, e := range sc.pairs {
+		if sc.polled() {
+			return nil
 		}
-		parent := cur.Edge(f, to)
-		filter, keptTo, remapTo := changed[to], kept[to], remap[to]
-		lo := len(stage)
-		var maxDeg int32
-		for r, i := range keptList[f] {
-			if sc.polled() {
-				return 0, false
-			}
-			row := parent.Neighbors(i)
-			if filter {
-				for _, j := range row {
-					if keptTo[j] {
-						nj := remapTo[j]
-						stage = append(stage, nj)
-						rev[nj+1]++
-					}
-				}
-			} else {
-				stage = append(stage, row...)
-				for _, j := range row {
-					rev[j+1]++
-				}
-			}
-			fwd[r+1] = int32(len(stage) - lo)
-			maxDeg = max(maxDeg, fwd[r+1]-fwd[r])
+		f, to := e[0], e[1]
+		nf, nt, m := len(part.Cand[f])+1, len(part.Cand[to])+1, sc.targets[p]
+		fwd := Adj{Offsets: offArena[:nf:nf], Targets: tgtArena[:m:m]}
+		rev := Adj{Offsets: offArena[nf : nf+nt : nf+nt], Targets: tgtArena[m : 2*m : 2*m]}
+		offArena, tgtArena = offArena[nf+nt:], tgtArena[2*m:]
+		var ok bool
+		if fwd.maxDeg, ok = sc.writeRows(f, to, fwd, rev.Offsets); !ok {
+			return nil
 		}
-		return maxDeg, true
-	})
-	sc.stage = stage
-	if !ok {
-		return nil
+		if rev.maxDeg, ok = revOffsets(rev.Offsets, sc); !ok || !transpose(fwd, rev, sc.cursor, sc) {
+			return nil
+		}
+		part.setAdj(f, to, fwd)
+		part.setAdj(to, f, rev)
+		part.sizeBytes += int64(nf+nt+2*m) * 4
+		part.maxDeg = max(part.maxDeg, int(fwd.maxDeg), int(rev.maxDeg))
 	}
 	return part
+}
+
+// writeRows writes the rows of the built piece's edge f → to into fwd, in
+// the piece's index space — f's kept rows of the ancestor, ascending, their
+// targets remapped when to changed and filtered again through its kept
+// stamps where the count filtered them — and counts the length of reverse
+// row j into rev[j+1]. It returns the longest row.
+func (sc *restrictScratch) writeRows(f, to graph.QueryVertex, fwd Adj, rev []int32) (int32, bool) {
+	adj := sc.from.Edge(f, to)
+	keptTo, remapTo, gen := sc.kept[to], sc.remap[to], sc.gen
+	remap, filter := sc.changed[to], sc.filtered(f, to)
+	var w, maxDeg int32
+	for r := 0; r+1 < len(fwd.Offsets); r++ {
+		if r&pollMask == 0 && sc.polled() {
+			return 0, false
+		}
+		i := CandIndex(r) // f keeps all its rows only when it is a tree parent in u's subtree
+		if sc.changed[f] {
+			i = sc.keptList[f][r]
+		}
+		row := adj.Neighbors(i)
+		switch {
+		case filter:
+			for _, j := range row {
+				if keptTo[j] == gen {
+					nj := remapTo[j]
+					fwd.Targets[w] = nj
+					rev[nj+1]++
+					w++
+				}
+			}
+		case remap:
+			for _, j := range row {
+				nj := remapTo[j]
+				fwd.Targets[w] = nj
+				rev[nj+1]++
+				w++
+			}
+		default:
+			w += int32(copy(fwd.Targets[w:], row))
+			for _, j := range row {
+				rev[j+1]++
+			}
+		}
+		maxDeg = max(maxDeg, w-fwd.Offsets[r])
+		fwd.Offsets[r+1] = w
+	}
+	return maxDeg, true
 }
 
 // markSubtree sets in[w] for u and all its tree descendants; in must be

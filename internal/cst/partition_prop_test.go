@@ -168,12 +168,12 @@ func TestPartitionStolenUnionStaysExact(t *testing.T) {
 		want := Count(pc.c, pc.o)
 		var all []*CST // processed + stolen: must union exactly
 		offers := 0
-		pc.cfg.Steal = func(p *CST) bool {
+		pc.cfg.Steal = func(of Offer) bool {
 			offers++
 			if offers%2 == 1 {
 				return false
 			}
-			all = append(all, p)
+			all = append(all, of.Build())
 			return true
 		}
 		n := Partition(pc.c, pc.o, pc.cfg, func(p *CST) { all = append(all, p) })

@@ -2,6 +2,7 @@ package cst
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -104,9 +105,25 @@ func restrictOracle(cur *CST, u graph.QueryVertex, chunk [2]int) *CST {
 	return part
 }
 
-// partitionOracle is Algorithm 2's recursion exactly as Partition runs it
-// (without cancellation), with every piece cut by restrictOracle.
-func partitionOracle(c *CST, o order.Order, cfg PartitionConfig, process func(*CST)) int {
+// restrict builds the piece of cur with C(u) cut to chunk, running the
+// count and build phases back to back as Partition does for a piece it
+// hands out. It returns nil when sc's cancel hook fired; the piece must not
+// be empty.
+func restrict(cur *CST, u graph.QueryVertex, chunk [2]int, sc *restrictScratch) *CST {
+	if !sc.count(cur, u, chunk) {
+		return nil
+	}
+	if sc.empty {
+		panic("restrict: empty piece")
+	}
+	return sc.build()
+}
+
+// partitionOracle is Algorithm 2's recursion as Partition ran it before
+// pieces were counted before being built (without cancellation): every
+// piece is cut from its parent by restrictOracle and built, and steal, when
+// non-nil, is offered each built piece that still violates a threshold.
+func partitionOracle(c *CST, o order.Order, cfg PartitionConfig, steal func(*CST) bool, process func(*CST)) int {
 	count := 0
 	var rec func(cur *CST, index int)
 	rec = func(cur *CST, index int) {
@@ -115,12 +132,12 @@ func partitionOracle(c *CST, o order.Order, cfg PartitionConfig, process func(*C
 			count++
 			return
 		}
-		if cfg.Steal != nil && cfg.Steal(cur) {
+		if steal != nil && steal(cur) {
 			count++
 			return
 		}
 		u := o[index]
-		k := min(cfg.partitionFactor(cur), len(cur.Cand[u]))
+		k := min(cfg.partitionFactor(cur.SizeBytes(), cur.MaxCandDegree()), len(cur.Cand[u]))
 		if k <= 1 {
 			rec(cur, index+1)
 			return
@@ -146,40 +163,63 @@ func partitionOracle(c *CST, o order.Order, cfg PartitionConfig, process func(*C
 	return count
 }
 
-// oracleEvent is one CST a partitioner hands out, in order: a processed
-// piece or a Steal offer (and whether the offer was taken).
+// oracleEvent is one step a partitioner takes, in order: a processed piece
+// or a Steal offer, with its price and whether it was taken. piece is nil
+// for an offer Partition declined, which it never builds.
 type oracleEvent struct {
 	piece  *CST
 	offer  bool
+	price  float64
 	stolen bool
 }
 
-// recordPartition runs partition over c and returns every processed piece
-// and Steal offer in order. With stealEveryOther, the Steal hook takes the
-// second, fourth, ... offer.
-func recordPartition(partition func(*CST, order.Order, PartitionConfig, func(*CST)) int,
-	c *CST, o order.Order, cfg PartitionConfig, stealEveryOther bool) ([]oracleEvent, int) {
+// stealPolicy decides offer n (counting from 1): with stealEveryOther the
+// second, fourth, ... offer is taken, otherwise none.
+func stealPolicy(stealEveryOther bool, n int) bool { return stealEveryOther && n%2 == 0 }
+
+// recordPartition runs Partition over c with a Steal hook that prices every
+// offer, takes the ones stealPolicy picks and builds only those, and
+// returns every processed piece and offer in order.
+func recordPartition(c *CST, o order.Order, cfg PartitionConfig, stealEveryOther bool) ([]oracleEvent, int) {
 	var events []oracleEvent
-	if stealEveryOther {
-		offers := 0
-		cfg.Steal = func(p *CST) bool {
-			offers++
-			take := offers%2 == 0
-			events = append(events, oracleEvent{piece: p, offer: true, stolen: take})
-			return take
+	offers := 0
+	cfg.Steal = func(of Offer) bool {
+		offers++
+		ev := oracleEvent{offer: true, price: of.Workload, stolen: stealPolicy(stealEveryOther, offers)}
+		if ev.stolen {
+			ev.piece = of.Build()
 		}
+		events = append(events, ev)
+		return ev.stolen
 	}
-	n := partition(c, o, cfg, func(p *CST) { events = append(events, oracleEvent{piece: p}) })
+	n := Partition(c, o, cfg, func(p *CST) { events = append(events, oracleEvent{piece: p}) })
+	return events, n
+}
+
+// recordOracle is recordPartition for partitionOracle: each offer is a
+// built piece, priced by EstimateWorkload.
+func recordOracle(c *CST, o order.Order, cfg PartitionConfig, stealEveryOther bool) ([]oracleEvent, int) {
+	var events []oracleEvent
+	offers := 0
+	steal := func(p *CST) bool {
+		offers++
+		ev := oracleEvent{piece: p, offer: true, price: EstimateWorkload(p), stolen: stealPolicy(stealEveryOther, offers)}
+		events = append(events, ev)
+		return ev.stolen
+	}
+	n := partitionOracle(c, o, cfg, steal, func(p *CST) { events = append(events, oracleEvent{piece: p}) })
 	return events, n
 }
 
 // requireOracleSequence fails unless Partition and partitionOracle hand out
-// the same sequence of pieces and Steal offers, each structurally identical
-// with the same partition statistics, and returns the number of pieces.
+// the same sequence of pieces and Steal offers — each offer priced bit for
+// bit as EstimateWorkload of the oracle's piece, each handed-out piece
+// structurally identical with the same partition statistics — and returns
+// the number of pieces.
 func requireOracleSequence(t *testing.T, c *CST, o order.Order, cfg PartitionConfig, stealEveryOther bool) int {
 	t.Helper()
-	got, gotN := recordPartition(Partition, c, o, cfg, stealEveryOther)
-	want, wantN := recordPartition(partitionOracle, c, o, cfg, stealEveryOther)
+	got, gotN := recordPartition(c, o, cfg, stealEveryOther)
+	want, wantN := recordOracle(c, o, cfg, stealEveryOther)
 	if gotN != wantN {
 		t.Fatalf("Partition returned %d, oracle %d", gotN, wantN)
 	}
@@ -198,6 +238,12 @@ func requireSameEvents(t *testing.T, got, want []oracleEvent) {
 		if g.offer != w.offer || g.stolen != w.stolen {
 			t.Fatalf("event %d: offer/stolen %v/%v, oracle %v/%v", i, g.offer, g.stolen, w.offer, w.stolen)
 		}
+		if math.Float64bits(g.price) != math.Float64bits(w.price) {
+			t.Fatalf("event %d: offer priced %v, oracle's piece %v", i, g.price, w.price)
+		}
+		if g.offer && !g.stolen {
+			continue
+		}
 		requireSameCST(t, w.piece, g.piece)
 		if g.piece.SizeBytes() != w.piece.SizeBytes() || g.piece.MaxCandDegree() != w.piece.MaxCandDegree() {
 			t.Fatalf("event %d: size/maxDeg %d/%d, oracle %d/%d", i,
@@ -214,13 +260,17 @@ func cardPartition(bram int64, nq int) PartitionConfig {
 	return PartitionConfig{MaxSizeBytes: max(bram-dev.BufferBytes(nq), 1024), MaxCandDegree: 512}
 }
 
-// TestPartitionMatchesRestrictOracle: Partition, whose restrict walks only
-// kept rows and derives each reverse direction by transpose, hands out
-// exactly the piece sequence of the same recursion over restrictOracle —
+// TestPartitionMatchesRestrictOracle: Partition, which counts a piece
+// before building it, builds only the pieces it hands out, cuts a re-split
+// piece's chunks from its last built ancestor and derives each reverse
+// direction by transpose, hands out exactly the piece sequence of the same
+// recursion over restrictOracle, which builds every piece from its parent —
 // same candidates, offsets, targets, per-view longest rows, SizeBytes and
-// MaxCandDegree — on LDBC at both modelled cards, random graphs, edge- and
-// arc-labelled graphs, fixed partition factors, degree splits and a Steal
-// hook that takes every other offer.
+// MaxCandDegree — and makes the same Steal offers, each priced as the
+// oracle's piece. It runs on LDBC at both modelled cards, random graphs,
+// edge- and arc-labelled graphs, fixed partition factors and degree splits
+// (with and without a size budget), with a Steal hook that prices and
+// declines every offer, or takes every other one.
 func TestPartitionMatchesRestrictOracle(t *testing.T) {
 	cards := []int64{32 << 10, 64 << 10}
 	t.Run("ldbc", func(t *testing.T) {
@@ -352,6 +402,10 @@ func TestPartitionMatchesRestrictOracle(t *testing.T) {
 			}
 			requireOracleSequence(t, c, o, degree, false)
 			requireOracleSequence(t, c, o, base, true)
+			// With no size budget nothing fits, and a piece a degree split
+			// leaves within δD cannot be split again at its position: it is
+			// built and moves on.
+			requireOracleSequence(t, c, o, PartitionConfig{MaxCandDegree: 16}, true)
 		}
 	})
 }

@@ -70,7 +70,7 @@ func fig4CST() *CST {
 
 func TestWorkloadMatchesPaperExample4(t *testing.T) {
 	c := fig4CST()
-	flat, off := perCandidateWorkload(c, nil, nil)
+	flat, off := perCandidateWorkload(c, nil, nil, nil)
 	table := make([][]float64, len(off)-1)
 	for u := range table {
 		table[u] = flat[off[u]:off[u+1]]

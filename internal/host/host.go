@@ -666,10 +666,15 @@ func (p *pipeline) produce(c *cst.CST) (err error) {
 	return nil
 }
 
-// steal is the Partition Steal hook: the non-committing δ test on a piece
-// that still violates the thresholds.
-func (p *pipeline) steal(piece *cst.CST) bool {
-	if !p.sched.tryCPU(p.workload.Estimate(piece)) {
+// steal is the Partition Steal hook: the non-committing δ test on the price
+// of a piece that still violates the thresholds. Only a piece the CPU takes
+// is built; a build cut short by the halt declines.
+func (p *pipeline) steal(o cst.Offer) bool {
+	if !p.sched.tryCPU(o.Workload) {
+		return false
+	}
+	piece := o.Build()
+	if piece == nil {
 		return false
 	}
 	p.rep.CSTBytes += piece.SizeBytes()

@@ -255,14 +255,15 @@ func TestPartitionedMatchesUnpartitioned(t *testing.T) {
 
 // restrictPerPiece is the per-piece allocation budget of Algorithm 2's
 // restrict, the budget cst.TestPartitionAllocsBounded holds Partition to.
-const restrictPerPiece = 20
+const restrictPerPiece = 10
 
 // TestPartitionedMatchAllocsPerPiece: on the 32 KiB / No 32 card a
-// cached-plan Match splits q5 into hundreds of pieces, and each piece may
-// allocate only what restrict builds for it. The kernel run on the pooled
-// Scratch, the δ estimate's reused table and the card's staging add
-// nothing per piece, so the whole Match stays within pieces × the restrict
-// budget plus the fixed per-call cost.
+// cached-plan Match splits q5 into pieces, and each piece may allocate only
+// what restrict builds for it: 137 allocations for 16 pieces, against 223
+// while every piece split again was built and restrict's scratch was made
+// per call. The kernel run on the pooled Scratch, the δ estimate's reused
+// table and the card's staging add nothing per piece, so the whole Match
+// stays within pieces × the restrict budget plus the fixed per-call cost.
 func TestPartitionedMatchAllocsPerPiece(t *testing.T) {
 	g := ldbc.Generate(ldbc.Config{ScaleFactor: 1, BasePersons: 400, Seed: 42})
 	q, err := ldbc.QueryByName("q5")

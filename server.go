@@ -116,6 +116,10 @@ func (sr *statusRecorder) Flush() {
 	}
 }
 
+// Unwrap exposes the underlying writer to http.ResponseController, which
+// sets /match's write deadline through it.
+func (sr *statusRecorder) Unwrap() http.ResponseWriter { return sr.ResponseWriter }
+
 // ServeHTTP implements http.Handler: the drain gate and panic-recovery
 // middleware around the mux. The in-flight count is taken before the drain
 // check, so Shutdown's wait can never miss a request that saw draining
@@ -234,25 +238,26 @@ func shedStatus(err error) (int, string, bool) {
 }
 
 // parseMatchRequest decodes and validates a /count or /match body into a
-// query plus per-call options.
-func (s *Server) parseMatchRequest(r *http.Request) (*graph.Query, []MatchOption, error) {
+// query plus per-call options, and returns the call's timeout_ms as a
+// duration (0 when absent).
+func (s *Server) parseMatchRequest(r *http.Request) (*graph.Query, []MatchOption, time.Duration, error) {
 	var req matchRequest
 	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, s.opts.MaxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		return nil, nil, fmt.Errorf("decoding request body: %w", err)
+		return nil, nil, 0, fmt.Errorf("decoding request body: %w", err)
 	}
 	var q *graph.Query
 	switch {
 	case req.Query != "" && req.Labels != nil:
-		return nil, nil, errors.New(`request names a query and spells one out; use "query" or "labels"+"edges", not both`)
+		return nil, nil, 0, errors.New(`request names a query and spells one out; use "query" or "labels"+"edges", not both`)
 	case req.Query != "":
 		if s.opts.QueryByName == nil {
-			return nil, nil, errors.New("named queries are not enabled on this server")
+			return nil, nil, 0, errors.New("named queries are not enabled on this server")
 		}
 		var err error
 		if q, err = s.opts.QueryByName(req.Query); err != nil {
-			return nil, nil, err
+			return nil, nil, 0, err
 		}
 	case req.Labels != nil:
 		edges := make([][2]graph.QueryVertex, len(req.Edges))
@@ -261,22 +266,24 @@ func (s *Server) parseMatchRequest(r *http.Request) (*graph.Query, []MatchOption
 		}
 		var err error
 		if q, err = graph.NewQuery("http", req.Labels, edges); err != nil {
-			return nil, nil, err
+			return nil, nil, 0, err
 		}
 	default:
-		return nil, nil, errors.New(`request carries no query: set "query" or "labels"+"edges"`)
+		return nil, nil, 0, errors.New(`request carries no query: set "query" or "labels"+"edges"`)
 	}
 	var opts []MatchOption
 	if req.Limit != nil {
 		opts = append(opts, WithLimit(*req.Limit))
 	}
+	var timeout time.Duration
 	if req.TimeoutMS != nil {
-		opts = append(opts, WithTimeout(time.Duration(*req.TimeoutMS)*time.Millisecond))
+		timeout = time.Duration(*req.TimeoutMS) * time.Millisecond
+		opts = append(opts, WithTimeout(timeout))
 	}
 	if req.Delta != nil {
 		opts = append(opts, WithDelta(*req.Delta))
 	}
-	return q, opts, nil
+	return q, opts, timeout, nil
 }
 
 // finishReason labels a completed call for the response body: partial
@@ -295,7 +302,7 @@ func finishReason(res *Result, err error) string {
 
 func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	q, opts, err := s.parseMatchRequest(r)
+	q, opts, _, err := s.parseMatchRequest(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
 		return
@@ -339,12 +346,24 @@ type matchLine struct {
 	Error     string           `json:"error,omitempty"`
 }
 
+// matchWriteGrace is how long past its timeout_ms a /match response may
+// still write.
+const matchWriteGrace = time.Second
+
 func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	q, opts, err := s.parseMatchRequest(r)
+	q, opts, timeout, err := s.parseMatchRequest(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
 		return
+	}
+	if timeout > 0 {
+		// A reader that stops reading blocks the emit in a socket write,
+		// where the call's own deadline cannot reach it; the write deadline
+		// fails that write, which ends the stream and frees the call's
+		// admission slot. The grace leaves a call cut by its deadline time
+		// to write its done line.
+		_ = http.NewResponseController(w).SetWriteDeadline(time.Now().Add(timeout + matchWriteGrace))
 	}
 	// Sheds must keep their status codes, so admission is probed before the
 	// 200 header goes out: a request the controller would reject fails fast

@@ -5,8 +5,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -374,4 +376,79 @@ func TestServerAdminEndpoints(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestServerStalledMatchReaderReleasesSlot: a /match client that sends
+// timeout_ms and then never reads holds the Router's only worker just until
+// that timeout plus matchWriteGrace. Its blocked socket write then fails,
+// the stalled call ends, another tenant's /count (queued behind it) answers,
+// and the goroutines return to the baseline. Small socket buffers on both
+// ends make the stream outgrow what the kernel can hold within a few lines.
+func TestServerStalledMatchReaderReleasesSlot(t *testing.T) {
+	gA := ldbc.Generate(ldbc.Config{ScaleFactor: 1, BasePersons: 400, Seed: 42})
+	_, gB := routerTestGraphs()
+	r := NewRouter(RouterOptions{Workers: 1, Engine: engineTestOptions(1)})
+	for name, g := range map[string]*graph.Graph{"a": gA, "b": gB} {
+		if err := r.AddGraph(name, g, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ts := httptest.NewUnstartedServer(NewServer(r, ServerOptions{QueryByName: ldbc.QueryByName}))
+	ts.Config.ConnState = func(c net.Conn, st http.ConnState) {
+		if tc, ok := c.(*net.TCPConn); ok && st == http.StateNew {
+			_ = tc.SetWriteBuffer(4 << 10)
+		}
+	}
+	ts.Start()
+	defer ts.Close()
+	client := &http.Client{Transport: &http.Transport{}}
+	defer client.CloseIdleConnections()
+	base := runtime.NumGoroutine()
+
+	const timeout = 300 * time.Millisecond
+	start := time.Now()
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close() // before ts.Close, which waits for the handler
+	if err := conn.(*net.TCPConn).SetReadBuffer(4 << 10); err != nil {
+		t.Fatal(err)
+	}
+	body := fmt.Sprintf(`{"query":"q1","timeout_ms":%d}`, timeout.Milliseconds())
+	if _, err := fmt.Fprintf(conn, "POST /v1/graphs/a/match HTTP/1.1\r\nHost: fast\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s",
+		len(body), body); err != nil {
+		t.Fatal(err)
+	}
+	for r.Stats()["a"].Admitted == 0 {
+		if time.Since(start) > 5*time.Second {
+			t.Fatal("the stalled /match was never admitted")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	// The /count queues behind the stalled call for the one worker.
+	client.Timeout = timeout + matchWriteGrace + 5*time.Second
+	resp, err := client.Post(ts.URL+"/v1/graphs/b/count", "application/json", strings.NewReader(`{"query":"q1"}`))
+	if err != nil {
+		t.Fatalf("another tenant's /count behind a stalled /match reader: %v", err)
+	}
+	answered := time.Since(start)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/count status %d", resp.StatusCode)
+	}
+	st := r.Stats()["a"]
+	if st.Calls != 1 || st.Partials+st.Failures != 1 {
+		t.Fatalf("stalled call not ended when the /count answered: %+v", st)
+	}
+	t.Logf("/count answered %v after the stalled /match began", answered)
+	const slack = 2 * time.Second
+	if answered < timeout || answered > timeout+matchWriteGrace+slack {
+		t.Errorf("/count answered %v after the stalled /match began; want between its timeout %v and %v",
+			answered, timeout, timeout+matchWriteGrace+slack)
+	}
+	conn.Close()
+	client.CloseIdleConnections()
+	awaitGoroutineBaseline(t, base)
 }
