@@ -569,11 +569,13 @@ func (sc *restrictScratch) countReverse(f, to graph.QueryVertex) (int, bool) {
 // shared with the ancestor rather than copied (its views alias the
 // ancestor's arenas) — CSTs are immutable after construction. A changed
 // vertex's kept candidates are listed ascending (u's list is the chunk
-// already) and only they get a remap entry. Each rebuilt edge takes its row
-// lengths from the count and its rows from the ancestor's, filtered again
-// as they are written; the reverse direction is the transpose. Everything
-// the piece owns lands in three arenas — candidates, offsets, targets — so
-// a build performs O(1) allocations however many vertices changed.
+// already) and only they get a remap entry. The count sizes each rebuilt
+// edge's arenas and gives the piece's SizeBytes; the edge's rows are the
+// ancestor's, remapped, and filtered again where the count filtered them,
+// as they are written, and the reverse direction is the transpose.
+// Everything the piece owns lands in three arenas — candidates, offsets,
+// targets — so a build performs O(1) allocations however many vertices
+// changed.
 //
 // build polls sc's amortised cancel hook once per row block and returns nil
 // once it fires; callers must treat a nil return as "stop producing", never
@@ -611,21 +613,18 @@ func (sc *restrictScratch) build() *CST {
 		}
 		part.Cand[w] = cands
 	}
-	for _, cands := range part.Cand {
-		part.sizeBytes += int64(len(cands)) * 4
-	}
+	// The count's maxDeg may stop short of the exact longest list, which
+	// the build takes from the rows it writes.
+	part.sizeBytes = sc.size
 	for _, e := range sc.edgeList {
 		if sc.polled() {
 			return nil
 		}
 		x, y := e[0], e[1]
 		if !changed[x] && !changed[y] {
-			for _, v := range [2]Adj{a.Edge(x, y), a.Edge(y, x)} {
-				part.sizeBytes += int64(len(v.Offsets)+len(v.Targets)) * 4
-				part.maxDeg = max(part.maxDeg, int(v.maxDeg))
-			}
 			part.setAdj(x, y, a.Edge(x, y))
 			part.setAdj(y, x, a.Edge(y, x))
+			part.maxDeg = max(part.maxDeg, int(a.Edge(x, y).maxDeg), int(a.Edge(y, x).maxDeg))
 		}
 	}
 	offTotal, tgtTotal, maxTo := 0, 0, 0
@@ -655,7 +654,6 @@ func (sc *restrictScratch) build() *CST {
 		}
 		part.setAdj(f, to, fwd)
 		part.setAdj(to, f, rev)
-		part.sizeBytes += int64(nf+nt+2*m) * 4
 		part.maxDeg = max(part.maxDeg, int(fwd.maxDeg), int(rev.maxDeg))
 	}
 	return part
