@@ -104,6 +104,7 @@ func BenchmarkPartition(b *testing.B) {
 						b.Fatalf("piece drift: %d then %d", pieces, n)
 					}
 				}
+				b.ReportMetric(float64(pieces), "pieces")
 				if sc.steal && priced == 0 {
 					b.Fatal("no offer was priced")
 				}

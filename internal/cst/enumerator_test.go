@@ -207,7 +207,7 @@ func TestPartitionResplitAllocatesNothing(t *testing.T) {
 	var processed, builtOffers, resplits int
 	var last *CST
 	cfg.Steal = func(of Offer) bool {
-		switch piece := of.p.offered; {
+		switch piece := of.s.offered; {
 		case piece == nil:
 			resplits++
 		case piece != last:

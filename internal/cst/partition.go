@@ -41,18 +41,18 @@ type Offer struct {
 	// Workload is the piece's W_CST: EstimateWorkload of the piece Build
 	// returns, computed without building it.
 	Workload float64
-	p        *partitioner
+	s        *partitionScratch
 }
 
 // Build materialises the offered piece. It may be called only inside the
 // Steal call that received the offer; it returns nil when the partition was
 // cancelled, and the same piece when called again.
 func (o Offer) Build() *CST {
-	p := o.p
-	if p.offered == nil {
-		p.offered = p.sc.build()
+	s := o.s
+	if s.offered == nil {
+		s.offered = s.sc.build()
 	}
-	return p.offered
+	return s.offered
 }
 
 // cancelled reports whether a Cancel hook is installed and has fired.
@@ -88,43 +88,49 @@ func (cfg PartitionConfig) fits(size int64, maxDeg int) bool {
 // restricting a restriction at the same u is restricting the ancestor to
 // the composed range.
 func Partition(c *CST, o order.Order, cfg PartitionConfig, process func(*CST)) int {
-	p := partitioners.Get().(*partitioner)
+	s := partitionScratches.Get().(*partitionScratch)
 	defer func() {
-		p.release()
-		partitioners.Put(p)
+		s.release()
+		partitionScratches.Put(s)
 	}()
-	p.cfg, p.o, p.process, p.count = cfg, o, process, 0
 	// The scratch carries the cancel hook into restrict itself (amortised
 	// poll), so even a single huge restrict observes cancellation promptly.
-	p.sc.cancel, p.sc.degLimit = cfg.Cancel, cfg.MaxCandDegree
-	p.rec(c, 0)
+	s.sc.cancel, s.sc.degLimit = cfg.Cancel, cfg.MaxCandDegree
+	p := partitioner{cfg: cfg, o: o, partitionScratch: s}
+	p.rec(process, c, 0)
 	return p.count
 }
 
-// partitioners pools the state of Partition calls, so that the scratch
+// partitionScratches pools the scratch of Partition calls, so that the
 // buffers sized by one call serve the next.
-var partitioners = sync.Pool{New: func() any { return new(partitioner) }}
+var partitionScratches = sync.Pool{New: func() any { return new(partitionScratch) }}
 
-// partitioner is one Partition call's recursion state and scratch.
-type partitioner struct {
-	cfg     PartitionConfig
-	o       order.Order
-	process func(*CST)
-	count   int
+// partitionScratch is what a Partition call reuses from the last.
+type partitionScratch struct {
 	sc      restrictScratch
 	wt      WorkloadTable // prices the built pieces that are offered
 	offered *CST          // the piece on offer once built; nil until then
 }
 
 // release drops every reference into the caller's CSTs and hooks, so a
-// pooled partitioner pins nothing.
-func (p *partitioner) release() {
-	p.cfg, p.o, p.process, p.offered = PartitionConfig{}, nil, nil, nil
-	p.sc.cancel, p.sc.from = nil, nil
+// pooled scratch pins nothing.
+func (s *partitionScratch) release() {
+	s.offered, s.sc.cancel, s.sc.from = nil, nil, nil
+}
+
+// partitioner is one Partition call's recursion state. Its scratch reaches
+// the Steal hook through each Offer, so the process callback is passed down
+// the recursion instead of held here: a callback the caller made on its
+// stack stays there.
+type partitioner struct {
+	cfg   PartitionConfig
+	o     order.Order
+	count int
+	*partitionScratch
 }
 
 // rec is Algorithm 2 on a built piece cur at order position index.
-func (p *partitioner) rec(cur *CST, index int) {
+func (p *partitioner) rec(process func(*CST), cur *CST, index int) {
 	if p.cfg.cancelled() {
 		return
 	}
@@ -133,7 +139,7 @@ func (p *partitioner) rec(cur *CST, index int) {
 		// CST still violates a threshold; it cannot be split further, so it
 		// is processed as-is (the kernel falls back to a multi-cycle probe
 		// for over-long lists).
-		p.process(cur)
+		process(cur)
 		p.count++
 		return
 	}
@@ -141,14 +147,14 @@ func (p *partitioner) rec(cur *CST, index int) {
 		return
 	}
 	u := p.o[index]
-	p.split(cur, cur, index, [2]int{0, len(cur.Cand[u])}, cur.SizeBytes(), cur.MaxCandDegree())
+	p.split(process, cur, cur, index, [2]int{0, len(cur.Cand[u])}, cur.SizeBytes(), cur.MaxCandDegree())
 }
 
 // resplit is Algorithm 2 on the piece of a that the scratch last counted,
 // whose C(u) is the range span of a's C(u) at u = o[index]: it neither fits
 // nor is a singleton at u, so unless a Steal hook takes it, it is split at
 // the same position without being built.
-func (p *partitioner) resplit(a *CST, index int, span [2]int) {
+func (p *partitioner) resplit(process func(*CST), a *CST, index int, span [2]int) {
 	if p.cfg.cancelled() {
 		return
 	}
@@ -156,14 +162,14 @@ func (p *partitioner) resplit(a *CST, index int, span [2]int) {
 	if p.cfg.Steal != nil && p.offer(nil, p.wt.estimate(a, &p.sc.keptMask)) {
 		return
 	}
-	p.split(a, nil, index, span, size, maxDeg)
+	p.split(process, a, nil, index, span, size, maxDeg)
 }
 
 // offer prices a piece to the Steal hook: piece is the built piece, or nil
 // for the one the scratch last counted. It reports whether the hook took it.
 func (p *partitioner) offer(piece *CST, w float64) bool {
 	p.offered = piece
-	taken := p.cfg.Steal(Offer{Workload: w, p: p})
+	taken := p.cfg.Steal(Offer{Workload: w, s: p.partitionScratch})
 	p.offered = nil
 	if taken {
 		p.count++
@@ -175,7 +181,7 @@ func (p *partitioner) offer(piece *CST, w float64) bool {
 // C(u), and restricts a to each: piece is the piece itself when it is
 // built (then a == piece), or nil when it is the one the scratch last
 // counted, of size size and longest list maxDeg.
-func (p *partitioner) split(a, piece *CST, index int, span [2]int, size int64, maxDeg int) {
+func (p *partitioner) split(process func(*CST), a, piece *CST, index int, span [2]int, size int64, maxDeg int) {
 	u := p.o[index]
 	k := min(p.cfg.partitionFactor(size, maxDeg), span[1]-span[0])
 	if k <= 1 {
@@ -185,7 +191,7 @@ func (p *partitioner) split(a, piece *CST, index int, span [2]int, size int64, m
 				return
 			}
 		}
-		p.rec(piece, index+1)
+		p.rec(process, piece, index+1)
 		return
 	}
 	sc := &p.sc
@@ -204,7 +210,7 @@ func (p *partitioner) split(a, piece *CST, index int, span [2]int, size int64, m
 		}
 		fits := p.cfg.fits(sc.size, sc.maxDeg)
 		if !fits && chunk[1]-chunk[0] > 1 {
-			p.resplit(a, index, chunk)
+			p.resplit(process, a, index, chunk)
 			continue
 		}
 		part := sc.build()
@@ -212,10 +218,10 @@ func (p *partitioner) split(a, piece *CST, index int, span [2]int, size int64, m
 			return
 		}
 		if fits {
-			p.process(part)
+			process(part)
 			p.count++
 		} else {
-			p.rec(part, index+1)
+			p.rec(process, part, index+1)
 		}
 	}
 }
