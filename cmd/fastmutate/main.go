@@ -8,7 +8,7 @@
 // A standing query is held open over NDJSON for the whole run; notification
 // latency is the time from just before a batch's POST to the arrival of the
 // subscription line carrying that batch's epoch — admission, commit,
-// affected-region diff and delivery included.
+// changed-edge match and delivery included.
 //
 // Usage:
 //

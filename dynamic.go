@@ -23,8 +23,9 @@ type DeltaResult struct {
 	// count after the batch.
 	Vertices int
 	Edges    int
-	// Touched is the number of data vertices whose adjacency the batch
-	// changed — the dirty region incremental notification re-expanded.
+	// Touched is the number of data vertices whose adjacency or existence
+	// the batch changed: the endpoints of inserted and deleted edges, the
+	// added and deleted vertices, and the deleted vertices' neighbours.
 	Touched int
 	// PlanSeeded reports whether the new epoch's engine was seeded with the
 	// previous epoch's planning decisions. True when the batch kept the
@@ -123,7 +124,7 @@ func (r *Router) ApplyDelta(name string, d graph.Delta) (*DeltaResult, error) {
 	ent.subMu.Unlock()
 	notified := 0
 	for _, s := range subs {
-		if s.notify(g2, touched, r.workers) {
+		if s.notify(st.g, g2, d) {
 			notified++
 		}
 	}

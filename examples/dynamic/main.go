@@ -3,8 +3,8 @@
 // deltas each batch causes. In-flight matches keep the epoch they were
 // admitted against; each committed batch advances the epoch by one and the
 // subscription sees every epoch exactly once, in order — its Added/Removed
-// sets are computed incrementally from the affected region of the
-// candidate space, not by re-running the query.
+// sets are matched from the edges each batch changed, not by re-running the
+// query.
 package main
 
 import (

@@ -99,9 +99,8 @@
 //
 // Router.Subscribe registers a standing (continuous) query: from its
 // registration epoch on, every committed batch delivers one MatchDelta —
-// the embeddings the batch created and destroyed, computed incrementally
-// from the affected region of the candidate space and delivered in strict
-// epoch order — until the subscription's context fires, Close is called,
+// the embeddings the batch created and destroyed, matched from the edges
+// the batch changed and delivered in strict epoch order — until the subscription's context fires, Close is called,
 // or the graph is swapped or removed:
 //
 //	sub, _ := router.Subscribe(ctx, "acme", q, func(md fast.MatchDelta) error {

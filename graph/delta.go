@@ -78,8 +78,8 @@ type halfEdge struct {
 // ApplyDelta applies one mutation batch and returns the post-delta graph as
 // a new immutable snapshot with Epoch()+1, plus the sorted set of vertices
 // whose adjacency the batch touched (endpoints of inserted and removed
-// edges, added vertices, tombstoned vertices and their former neighbours) —
-// the "dirty" region incremental consumers re-expand. The receiver is not
+// edges, added vertices, tombstoned vertices and their former neighbours).
+// The receiver is not
 // modified in any way: in-flight readers of the old epoch stay consistent,
 // which is the copy-on-write MVCC contract the serving stack builds on.
 //

@@ -66,58 +66,18 @@ func BuildWorkers(q *graph.Query, g *graph.Graph, t *order.Tree, workers int) *C
 	// sets: marking a candidate set costs one pass and queries are O(1)
 	// with no per-pass allocation. Candidates of a query vertex all carry
 	// its label, so the reachability probe walks only the matching label
-	// run of each neighbourhood instead of the whole adjacency list. Marking
-	// is serial; the probe over the filtered set is chunked across workers
-	// (stamps are read-only while probing, and the join barrier orders each
-	// probe pass after its mark).
-	stamp := make([]uint32, g.NumVertices())
-	var gen uint32
-	mark := func(vs []graph.VertexID) {
-		gen++
-		for _, v := range vs {
-			stamp[v] = gen
-		}
-	}
-	probe := func(vs []graph.VertexID, l graph.Label) []graph.VertexID {
-		myGen := gen
-		return parallelKeep(vs, workers, func(v graph.VertexID) bool {
-			for _, w := range g.NeighborsWithLabel(v, l, nil) {
-				if stamp[w] == myGen {
-					return true
-				}
-			}
-			return false
-		})
-	}
+	// run of each neighbourhood instead of the whole adjacency list.
+	st := stamps{s: make([]uint32, g.NumVertices())}
 
-	// Lines 3-7: top-down construction. A candidate of u survives only if
-	// it is adjacent to at least one candidate of u's tree parent.
-	topDown := func() {
-		for _, u := range t.BFSOrder {
-			if u == t.Root {
-				continue
-			}
-			mark(c.Cand[t.Parent[u]])
-			c.Cand[u] = probe(c.Cand[u], q.Label(t.Parent[u]))
-		}
-	}
-	topDown()
-
-	// Lines 8-14: bottom-up refinement. A candidate v of u is valid only if
-	// every tree child uc has at least one candidate adjacent to v.
-	for i := len(t.BFSOrder) - 1; i >= 0; i-- {
-		u := t.BFSOrder[i]
-		for _, uc := range t.Children[u] {
-			mark(c.Cand[uc])
-			c.Cand[u] = probe(c.Cand[u], q.Label(uc))
-		}
-	}
-
+	// Lines 3-7: top-down construction.
+	c.topDown(g, &st, workers)
+	// Lines 8-14: bottom-up refinement.
+	c.bottomUp(g, &st, workers)
 	// One more top-down pass: bottom-up refinement may have removed parent
 	// candidates, stranding children whose only parents vanished. The paper
 	// removes such candidates from adjacency lists (line 14); pruning them
 	// from C(u) as well is equivalent and keeps the CST smaller.
-	topDown()
+	c.topDown(g, &st, workers)
 
 	// Build adjacency lists for tree edges and (lines 15-19) non-tree
 	// candidate neighbours, both directions, into the CST's flat CSR arenas.
@@ -125,14 +85,93 @@ func BuildWorkers(q *graph.Query, g *graph.Graph, t *order.Tree, workers int) *C
 	// the position table each edge's a → b probe reads, and then the write
 	// cursor of its b → a transpose. One build costs O(Σ label-run degree +
 	// Σ|C(u)| + kept edges): every probe is O(1), whatever the size of C(b).
+	c.addCandBytes()
+	var uncancelled restrictScratch
+	c.writeAdjacency(appendEdgePairs(nil, t), st.s, &uncancelled, func(a, b graph.QueryVertex, fwd, rev []int32, tgt []CandIndex) int32 {
+		return c.probeRows(g, a, b, st.s, fwd, rev, tgt, nil)
+	})
+	return c
+}
+
+// stamps is the generation-stamped membership table Algorithm 1's passes
+// share: marking a set bumps the generation and stamps its members, so a
+// membership test is one compare and nothing is ever cleared between
+// passes.
+type stamps struct {
+	s   []uint32
+	gen uint32
+}
+
+// next starts a new generation and returns it. The table is cleared only
+// when the generation wraps, so a long-lived table never mistakes a stamp
+// from 2³² generations ago for a current one; the clear reaches the whole
+// capacity, since a table resliced shorter may grow back over its tail.
+func (st *stamps) next() uint32 {
+	st.gen++
+	if st.gen == 0 {
+		clear(st.s[:cap(st.s)])
+		st.gen = 1
+	}
+	return st.gen
+}
+
+// mark stamps vs with a new generation and returns it.
+func (st *stamps) mark(vs []graph.VertexID) uint32 {
+	gen := st.next()
+	for _, v := range vs {
+		st.s[v] = gen
+	}
+	return gen
+}
+
+// keepAdjacent filters vs in place to the vertices with at least one
+// neighbour labelled l stamped gen. The probe over the filtered set is
+// chunked across workers: stamps are read-only while probing, and the join
+// barrier orders each probe pass after its mark.
+func (st *stamps) keepAdjacent(g *graph.Graph, vs []graph.VertexID, l graph.Label, gen uint32, workers int) []graph.VertexID {
+	stamp := st.s
+	return parallelKeep(vs, workers, func(v graph.VertexID) bool {
+		for _, w := range g.NeighborsWithLabel(v, l, nil) {
+			if stamp[w] == gen {
+				return true
+			}
+		}
+		return false
+	})
+}
+
+// topDown keeps a candidate of u only if it is adjacent to at least one
+// candidate of u's tree parent, level by level from the root (Algorithm 1,
+// lines 3-7).
+func (c *CST) topDown(g *graph.Graph, st *stamps, workers int) {
+	t := c.Tree
+	for _, u := range t.BFSOrder[1:] {
+		p := t.Parent[u]
+		gen := st.mark(c.Cand[p])
+		c.Cand[u] = st.keepAdjacent(g, c.Cand[u], c.Query.Label(p), gen, workers)
+	}
+}
+
+// bottomUp keeps a candidate v of u only if every tree child uc has at
+// least one candidate adjacent to v, from the leaves up (Algorithm 1,
+// lines 8-14).
+func (c *CST) bottomUp(g *graph.Graph, st *stamps, workers int) {
+	t := c.Tree
+	for i := len(t.BFSOrder) - 1; i >= 0; i-- {
+		u := t.BFSOrder[i]
+		for _, uc := range t.Children[u] {
+			gen := st.mark(c.Cand[uc])
+			c.Cand[u] = st.keepAdjacent(g, c.Cand[u], c.Query.Label(uc), gen, workers)
+		}
+	}
+}
+
+// addCandBytes folds the candidate arrays into c's size statistic; the
+// adjacency writer adds the arenas.
+func (c *CST) addCandBytes() {
 	for _, cands := range c.Cand {
 		c.sizeBytes += int64(len(cands)) * 4
 	}
-	var uncancelled restrictScratch
-	c.writeAdjacency(appendEdgePairs(nil, t), stamp, &uncancelled, func(a, b graph.QueryVertex, fwd, rev []int32, tgt []CandIndex) int32 {
-		return c.probeRows(g, a, b, stamp, fwd, rev, tgt)
-	})
-	return c
 }
 
 // appendEdgePairs appends every query edge once, as an (a,b) pair, to dst:
@@ -193,37 +232,53 @@ func parallelKeep(vs []graph.VertexID, workers int, keep func(graph.VertexID) bo
 	return out
 }
 
-// localCandidates returns the data vertices conforming with u's local
-// features: same label, at least u's degree, and at least u's per-label
-// neighbour counts (the NLF filter used by CFL/DAF/CECI). The NLF map is
-// hoisted into a sorted slice once per query vertex so the per-candidate
-// loop performs no map iteration, and each per-label degree is one
-// label-index run-length read.
-func localCandidates(q *graph.Query, g *graph.Graph, u graph.QueryVertex) []graph.VertexID {
-	type labelNeed struct {
-		l    graph.Label
-		need int
-	}
+// labelNeed is one entry of a query vertex's neighbourhood label
+// frequency: at least need neighbours labelled l.
+type labelNeed struct {
+	l    graph.Label
+	need int
+}
+
+// localFilter is a query vertex's local features: at least its degree, and
+// at least its per-label neighbour counts (the NLF filter used by
+// CFL/DAF/CECI). The NLF map is hoisted into a sorted slice once, so the
+// per-vertex test performs no map iteration, and each per-label degree is
+// one label-index run-length read.
+type localFilter struct {
+	minDeg int
+	needs  []labelNeed
+}
+
+func newLocalFilter(q *graph.Query, u graph.QueryVertex) localFilter {
 	nlf := q.NeighborLabelCounts(u)
 	needs := make([]labelNeed, 0, len(nlf))
 	for l, need := range nlf {
 		needs = append(needs, labelNeed{l, need})
 	}
 	sort.Slice(needs, func(i, j int) bool { return needs[i].l < needs[j].l })
-	minDeg := q.Degree(u)
+	return localFilter{minDeg: q.Degree(u), needs: needs}
+}
+
+// admits reports whether v passes the filter; the caller checks the label.
+func (f *localFilter) admits(g *graph.Graph, v graph.VertexID) bool {
+	if g.Degree(v) < f.minDeg {
+		return false
+	}
+	for _, ln := range f.needs {
+		if g.DegreeWithLabel(v, ln.l) < ln.need {
+			return false
+		}
+	}
+	return true
+}
+
+// localCandidates returns the data vertices conforming with u's local
+// features: same label, and admitted by u's localFilter.
+func localCandidates(q *graph.Query, g *graph.Graph, u graph.QueryVertex) []graph.VertexID {
+	f := newLocalFilter(q, u)
 	var out []graph.VertexID
 	for _, v := range g.VerticesWithLabel(q.Label(u)) {
-		if g.Degree(v) < minDeg {
-			continue
-		}
-		ok := true
-		for _, ln := range needs {
-			if g.DegreeWithLabel(v, ln.l) < ln.need {
-				ok = false
-				break
-			}
-		}
-		if ok {
+		if f.admits(g, v) {
 			out = append(out, v)
 		}
 	}
@@ -240,9 +295,12 @@ func localCandidates(q *graph.Query, g *graph.Graph, u graph.QueryVertex) []grap
 // Section II), which makes the kept relation symmetric: b → a is exactly
 // its transpose.
 //
+// A non-nil cut (a sorted edge set, see hasEdge) keeps only the data edges
+// it holds: the seeded edge of an EdgeMatcher pass.
+//
 // It is Build's adjRows (counting with tgt nil, else writing); each written
 // row is ascending because the label run and C(b) are both sorted.
-func (c *CST) probeRows(g *graph.Graph, a, b graph.QueryVertex, pos []uint32, fwd, rev []int32, tgt []CandIndex) int32 {
+func (c *CST) probeRows(g *graph.Graph, a, b graph.QueryVertex, pos []uint32, fwd, rev []int32, tgt []CandIndex, cut [][2]graph.VertexID) int32 {
 	src, dst := c.Cand[a], c.Cand[b]
 	for j, w := range dst {
 		pos[w] = uint32(j)
@@ -266,6 +324,9 @@ func (c *CST) probeRows(g *graph.Graph, a, b graph.QueryVertex, pos []uint32, fw
 				if wantRev != graph.WildcardEdgeLabel && !g.HasEdgeLabeled(w, v, wantRev) {
 					continue
 				}
+			}
+			if cut != nil && !hasEdge(cut, v, w) {
+				continue
 			}
 			if tgt != nil {
 				tgt[n] = CandIndex(j)

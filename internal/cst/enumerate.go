@@ -29,13 +29,6 @@ type Enumerator struct {
 	mIdx  []CandIndex      // candidate index matched at each depth
 	mVert []graph.VertexID // data vertex matched at each depth
 
-	// Affected-region filter (affected.go): while dirty is non-nil, class[d]
-	// constrains the vertex matched at depth d to be dirty, clean or either.
-	// Only runAffected sets dirty, and it and Reset clear it, so the static
-	// path runs unfiltered.
-	class []int8
-	dirty func(graph.VertexID) bool
-
 	o       order.Order
 	emit    func(graph.Embedding) bool
 	take    func() bool
@@ -48,7 +41,6 @@ type Enumerator struct {
 func (e *Enumerator) Reset(c *CST, o order.Order) {
 	n := c.Query.NumVertices()
 	e.c, e.o, e.n = c, o, n
-	e.dirty = nil
 	if cap(e.candAt) < n {
 		e.candAt = make([][]graph.VertexID, n)
 		e.parentAdj = make([]Adj, n)
@@ -124,8 +116,7 @@ func (e *Enumerator) run() int64 {
 
 // rec is the prepared zero-alloc DFS matcher: per-depth state lives in
 // hoisted arrays, so steady-state enumeration performs no allocation except
-// materialising an embedding for a collecting emit callback. While the
-// affected-region filter is on, it also skips candidates of the wrong class.
+// materialising an embedding for a collecting emit callback.
 //
 //fastmatch:hotpath
 func (e *Enumerator) rec(depth int) {
@@ -154,12 +145,8 @@ func (e *Enumerator) rec(depth int) {
 	cand := e.candAt[depth]
 	if depth == 0 {
 		for ci := CandIndex(0); int(ci) < len(cand); ci++ {
-			v := cand[ci]
-			if e.dirty != nil && e.excluded(0, v) {
-				continue
-			}
 			e.mIdx[0] = ci
-			e.mVert[0] = v
+			e.mVert[0] = cand[ci]
 			e.rec(1)
 			if e.stopped {
 				return
@@ -182,9 +169,6 @@ next:
 				continue next
 			}
 		}
-		if e.dirty != nil && e.excluded(depth, v) {
-			continue
-		}
 		e.mIdx[depth] = ci
 		e.mVert[depth] = v
 		e.rec(depth + 1)
@@ -192,14 +176,6 @@ next:
 			return
 		}
 	}
-}
-
-// excluded reports whether the class mask rules out matching v at depth.
-// Callers test e.dirty != nil first, so the static path pays one nil check
-// per candidate that survives validation.
-func (e *Enumerator) excluded(depth int, v graph.VertexID) bool {
-	cl := e.class[depth]
-	return cl != classFree && e.dirty(v) != (cl == classMustDirty)
 }
 
 // Enumerate backtracks over the CST following matching order o and invokes

@@ -4,11 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"fastmatch/graph"
 	"fastmatch/internal/cst"
-	"fastmatch/internal/order"
 )
 
 // ErrSubscriptionClosed is the terminal error of a standing query ended by
@@ -20,7 +20,8 @@ var ErrSubscriptionClosed = errors.New("subscription closed")
 // delta batch: the embeddings that appeared and vanished between Epoch-1
 // and Epoch. A batch that does not affect the query yields a MatchDelta
 // with empty Added/Removed — an epoch heartbeat subscribers can use to
-// track how current their view is.
+// track how current their view is. Added and Removed are sets: the order of
+// embeddings within each is unspecified.
 type MatchDelta struct {
 	Epoch   uint64
 	Added   []graph.Embedding
@@ -40,12 +41,9 @@ type Subscription struct {
 	query *graph.Query
 	epoch uint64 // registration epoch; written once in Subscribe, so Epoch reads it unlocked
 
-	// Matching state owned by the mutation path (Subscribe and notify both
-	// run under ent.mutMu): the plan is fixed at registration, the CST
-	// tracks the current epoch.
-	tree *order.Tree
-	ord  order.Order
-	cst  *cst.CST
+	// match finds the embeddings that use a changed edge. It is owned by
+	// the mutation path: notify runs under ent.mutMu.
+	match *cst.EdgeMatcher
 
 	ch        chan MatchDelta
 	done      chan struct{} // closed once, with closeErr set first
@@ -60,17 +58,18 @@ const subscriptionBuffer = 16
 
 // Subscribe registers a standing query against the named graph. From the
 // epoch current at registration onward, every committed ApplyDelta batch
-// produces one MatchDelta — computed from the affected region of the
-// candidate space, verified-equivalent to diffing full re-matches — and
-// emit receives them in epoch order on a dedicated goroutine. emit errors,
-// ctx cancellation, Close, SwapGraph and RemoveGraph all terminate the
+// produces one MatchDelta — computed from the edges the batch changed, and
+// equal as sets to diffing full re-matches of the two epochs — and emit
+// receives them in epoch order on a dedicated goroutine. emit errors, ctx
+// cancellation, Close, SwapGraph and RemoveGraph all terminate the
 // subscription; Wait returns the terminal cause.
 //
-// Registration builds the query's plan and baseline CST against the
-// current epoch (cost comparable to one cold match), serialized with
-// ApplyDelta so the subscription joins the epoch sequence at a well-defined
-// point: a batch either precedes the subscription (not delivered) or
-// follows it (delivered), never half of each.
+// Registration prepares one seeded plan per query edge (a BFS tree rooted
+// at one of its endpoints) and matches nothing, so it costs a few
+// allocations whatever the graph's size. It is serialized with ApplyDelta
+// so the subscription joins the epoch sequence at a well-defined point: a
+// batch either precedes the subscription (not delivered) or follows it
+// (delivered), never half of each.
 func (r *Router) Subscribe(ctx context.Context, graphName string, q *graph.Query, emit func(MatchDelta) error) (*Subscription, error) {
 	if q == nil {
 		return nil, fmt.Errorf("fast: Router.Subscribe %q: nil query", graphName)
@@ -97,24 +96,13 @@ func (r *Router) Subscribe(ctx context.Context, graphName string, q *graph.Query
 	if !registered {
 		return nil, fmt.Errorf("fast: Router.Subscribe %q: %w", graphName, ErrUnknownGraph)
 	}
-	g := st.g
-
-	root := order.SelectRoot(q, g)
-	tree := order.BuildBFSTree(q, root)
-	c := cst.BuildWorkers(q, g, tree, r.workers)
-	o := order.PathBased(tree, c)
-	if err := o.Validate(tree); err != nil {
-		return nil, fmt.Errorf("fast: Router.Subscribe %q: %v", graphName, err)
-	}
 
 	s := &Subscription{
 		ent:     ent,
 		graph:   graphName,
 		query:   q,
-		epoch:   g.Epoch(),
-		tree:    tree,
-		ord:     o,
-		cst:     c,
+		epoch:   st.g.Epoch(),
+		match:   cst.NewEdgeMatcher(q),
 		ch:      make(chan MatchDelta, subscriptionBuffer),
 		done:    make(chan struct{}),
 		drained: make(chan struct{}),
@@ -132,55 +120,56 @@ func (r *Router) Subscribe(ctx context.Context, graphName string, q *graph.Query
 	return s, nil
 }
 
-// notify computes and enqueues this subscription's MatchDelta for a freshly
-// committed epoch. It runs under ent.mutMu (ApplyDelta's notification
-// loop). The affected region — embeddings mapping at least one query vertex
-// to a touched data vertex — is enumerated on both the old and new epochs'
-// CSTs; everything outside it is shared by both epochs, so the set
-// difference of the two affected sets is exactly the match delta. Returns
-// false when the subscription has already terminated.
-func (s *Subscription) notify(g2 *graph.Graph, touched []graph.VertexID, workers int) bool {
+// notify computes and enqueues this subscription's MatchDelta for the
+// batch d that took g to g2. It runs under ent.mutMu (ApplyDelta's
+// notification loop). Returns false when the subscription has already
+// terminated.
+func (s *Subscription) notify(g, g2 *graph.Graph, d graph.Delta) bool {
 	select {
 	case <-s.done:
 		return false
 	default:
 	}
-	dirtySet := make(map[graph.VertexID]bool, len(touched))
-	for _, v := range touched {
-		dirtySet[v] = true
-	}
-	dirty := func(v graph.VertexID) bool { return dirtySet[v] }
-
-	newCST := cst.BuildWorkers(s.query, g2, s.tree, workers)
-	affOld := cst.CollectAffected(s.cst, s.ord, dirty)
-	affNew := cst.CollectAffected(newCST, s.ord, dirty)
-	s.cst = newCST
-
-	oldKeys := make(map[string]bool, len(affOld))
-	for _, em := range affOld {
-		oldKeys[em.Key()] = true
-	}
-	newKeys := make(map[string]bool, len(affNew))
-	for _, em := range affNew {
-		newKeys[em.Key()] = true
-	}
 	md := MatchDelta{Epoch: g2.Epoch()}
-	for _, em := range affNew {
-		if !oldKeys[em.Key()] {
-			md.Added = append(md.Added, em)
-		}
-	}
-	for _, em := range affOld {
-		if !newKeys[em.Key()] {
-			md.Removed = append(md.Removed, em)
-		}
-	}
+	md.Added, md.Removed = s.delta(g, g2, d)
 	select {
 	case s.ch <- md:
 		return true
 	case <-s.done:
 		return false
 	}
+}
+
+// delta returns the embeddings batch d adds and removes. An embedding
+// differs between g and g2 only if it uses a changed edge, so Removed is
+// g's embeddings that use a deleted edge (a deleted vertex's edges count as
+// deleted) and Added is g2's embeddings that use an inserted edge; no
+// embedding can be in both. A one-vertex query has no edges: its
+// embeddings are the vertices of its label, so the batch adds and removes
+// exactly the ones it adds and deletes. The order within each set is
+// unspecified.
+func (s *Subscription) delta(g, g2 *graph.Graph, d graph.Delta) (added, removed []graph.Embedding) {
+	if s.query.NumVertices() == 1 {
+		l := s.query.Label(0)
+		for i, vl := range d.AddVertices {
+			if vl == l {
+				added = append(added, graph.Embedding{graph.VertexID(g.NumVertices() + i)})
+			}
+		}
+		for _, v := range d.DelVertices {
+			if g.Label(v) == l {
+				removed = append(removed, graph.Embedding{v})
+			}
+		}
+		return added, removed
+	}
+	deleted := slices.Clip(d.DelEdges)
+	for _, v := range d.DelVertices {
+		for _, w := range g.Neighbors(v) {
+			deleted = append(deleted, [2]graph.VertexID{v, w})
+		}
+	}
+	return s.match.Match(g2, d.AddEdges), s.match.Match(g, deleted)
 }
 
 // drain is the delivery goroutine: it hands queued MatchDeltas to emit one
