@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -83,10 +84,14 @@ type halfEdge struct {
 // modified in any way: in-flight readers of the old epoch stay consistent,
 // which is the copy-on-write MVCC contract the serving stack builds on.
 //
-// Cost is one pass over the CSR arrays: an unchanged vertex has its
-// adjacency span and label runs copied once (run starts shifted by its
-// offset change), and only dirty vertices pay a merge, keyed on (label, id),
-// and re-derive their runs.
+// Cost is one pass over the CSR arrays that does per-vertex work only at
+// the dirty vertices. The unchanged vertices between two dirty ones are
+// copied in bulk: one copy each of their neighbours, half-edge labels and
+// label runs (run starts are relative to a vertex's own offset, so they
+// copy verbatim), and their offsets moved by one constant shift. A dirty
+// vertex pays a merge, keyed on (label, id), that appends its old
+// adjacency between two changes whole, and re-derives its runs. So a
+// small batch costs about a memmove of the graph.
 //
 // An invalid batch — out-of-range or tombstoned endpoints, self loops,
 // duplicate or conflicting operations, inserting an existing edge, deleting
@@ -191,25 +196,24 @@ func (g *Graph) ApplyDelta(d Delta) (*Graph, []VertexID, error) {
 			}
 		}
 	}
-	// The dirty set: every vertex whose adjacency (or existence) changes.
-	dirty := make(map[VertexID]bool, len(addN)+len(delN)+len(delV)+len(d.AddVertices))
+	// The dirty vertices, ascending: every vertex whose adjacency (or
+	// existence) changes. Every added vertex is one, so each vertex between
+	// two of them is an unchanged old vertex.
+	touched := make([]VertexID, 0, len(addN)+len(delN)+len(delV)+len(d.AddVertices))
 	for v := range addN {
-		dirty[v] = true
-	}
-	for v := range delN {
-		dirty[v] = true
-	}
-	for v := range delV {
-		dirty[v] = true
-	}
-	for i := range d.AddVertices {
-		dirty[VertexID(nOld+i)] = true
-	}
-	touched := make([]VertexID, 0, len(dirty))
-	for v := range dirty {
 		touched = append(touched, v)
 	}
-	sort.Slice(touched, func(i, j int) bool { return touched[i] < touched[j] })
+	for v := range delN {
+		touched = append(touched, v)
+	}
+	for v := range delV {
+		touched = append(touched, v)
+	}
+	for i := range d.AddVertices {
+		touched = append(touched, VertexID(nOld+i))
+	}
+	slices.Sort(touched)
+	touched = slices.Compact(touched)
 
 	// Labels and label alphabet.
 	labels := make([]Label, 0, n)
@@ -243,92 +247,63 @@ func (g *Graph) ApplyDelta(d Delta) (*Graph, []VertexID, error) {
 		numDeleted += len(delV)
 	}
 
-	// New CSR extents: offsets from per-vertex degree arithmetic, maximum
-	// degree folded in the same pass.
-	offsets := make([]int64, n+1)
-	maxDeg := 0
-	for v := 0; v < n; v++ {
-		var deg int
-		switch {
-		case v >= nOld:
-			deg = len(addN[VertexID(v)])
-		case delV[VertexID(v)] || g.Deleted(VertexID(v)):
-			deg = 0
-		default:
-			deg = g.Degree(VertexID(v)) + len(addN[VertexID(v)]) - len(delN[VertexID(v)])
+	// New degrees of the dirty vertices: the half-edge total sizes the
+	// arrays exactly, and the maximum degree needs a rescan only when a
+	// dirty vertex that held it shrinks; otherwise it is still held by a
+	// clean vertex or by a dirty one at least as large.
+	newDeg := func(v VertexID) int {
+		if delV[v] {
+			return 0
 		}
-		offsets[v+1] = offsets[v] + int64(deg)
-		if deg > maxDeg {
-			maxDeg = deg
+		deg := len(addN[v]) - len(delN[v])
+		if int(v) < nOld {
+			deg += g.Degree(v)
 		}
+		return deg
 	}
-	g2.offsets, g2.maxDegree = offsets, maxDeg
-	g2.neighbors = make([]VertexID, offsets[n])
-	if g.edgeLabels != nil {
-		g2.edgeLabels = make([]EdgeLabel, offsets[n])
+	size := int64(len(g.neighbors))
+	maxDeg, lost := g.maxDegree, false
+	for _, v := range touched {
+		deg := newDeg(v)
+		size += int64(deg)
+		if int(v) < nOld {
+			old := g.Degree(v)
+			size -= int64(old)
+			lost = lost || (old == g.maxDegree && deg < old)
+		}
+		maxDeg = max(maxDeg, deg)
 	}
+
+	// The CSR pass. Each range of clean vertices between two dirty ones is
+	// copied in bulk: one copy each of its neighbours, half-edge labels,
+	// run labels and run starts, and its offsets and run offsets moved by
+	// one shift apiece. Only the dirty vertices are merged.
+	g2.offsets = make([]int64, n+1)
 	g2.runOff = make([]int64, n+1)
-	g2.runLabels = make([]Label, 0, len(g.runLabels)+2*len(dirty))
-	g2.runStarts = make([]int64, 0, len(g.runStarts)+2*len(dirty))
-	for v := 0; v < n; v++ {
-		vid := VertexID(v)
-		dst, dstLab := g2.Neighbors(vid), g2.EdgeLabels(vid)
-		if v < nOld && !dirty[vid] {
-			// Clean vertex: adjacency span and label runs copied once, run
-			// starts shifted by the change in its offset.
-			copy(dst, g.Neighbors(vid))
-			copy(dstLab, g.EdgeLabels(vid))
-			shift := offsets[v] - g.offsets[v]
-			rs, re := g.runOff[v], g.runOff[v+1]
-			g2.runLabels = append(g2.runLabels, g.runLabels[rs:re]...)
-			for _, p := range g.runStarts[rs:re] {
-				g2.runStarts = append(g2.runStarts, p+shift)
-			}
-			g2.runOff[v+1] = int64(len(g2.runLabels))
-			continue
-		}
-		if delV[vid] || (v < nOld && g.Deleted(vid)) {
-			g2.runOff[v+1] = g2.runOff[v] // tombstone: no adjacency, no runs
-			continue
-		}
-		// Dirty vertex: one merge, keyed on (label, id), of the old
-		// adjacency minus removals with the additions.
-		var old []VertexID
-		var oldLab []EdgeLabel
-		if v < nOld {
-			old, oldLab = g.Neighbors(vid), g.EdgeLabels(vid)
-		}
-		adds := addN[vid]
-		dels := delN[vid]
-		var di, ai, out int
-		for i, w := range old {
-			if di < len(dels) && dels[di] == w {
-				di++
-				continue
-			}
-			for ai < len(adds) && g2.before(adds[ai].w, w) {
-				dst[out] = adds[ai].w
-				if dstLab != nil {
-					dstLab[out] = adds[ai].l
-				}
-				out++
-				ai++
-			}
-			dst[out] = w
-			if dstLab != nil {
-				dstLab[out] = oldLab[i]
-			}
-			out++
-		}
-		for ; ai < len(adds); ai++ {
-			dst[out] = adds[ai].w
-			if dstLab != nil {
-				dstLab[out] = adds[ai].l
-			}
-			out++
-		}
-		g2.appendRuns(v)
+	g2.neighbors = make([]VertexID, 0, size)
+	if g.edgeLabels != nil {
+		g2.edgeLabels = make([]EdgeLabel, 0, size)
 	}
+	g2.runLabels = make([]Label, 0, len(g.runLabels)+2*len(touched))
+	g2.runStarts = make([]int64, 0, cap(g2.runLabels))
+	next := 0 // the first vertex not yet laid out
+	for _, v := range touched {
+		g2.copyClean(g, next, int(v))
+		if !delV[v] {
+			g2.mergeDirty(g, v, addN[v], delN[v])
+		}
+		g2.offsets[v+1] = int64(len(g2.neighbors))
+		g2.appendRuns(int(v))
+		next = int(v) + 1
+	}
+	g2.copyClean(g, next, n)
+	if lost {
+		maxDeg = 0
+		for v := 0; v < n; v++ {
+			maxDeg = max(maxDeg, int(g2.offsets[v+1]-g2.offsets[v]))
+		}
+	}
+	g2.maxDegree = maxDeg
 
 	// Per-label vertex lists: the outer slice is fresh, untouched labels
 	// share the old epoch's list, and only labels gaining or losing
@@ -364,4 +339,70 @@ func (g *Graph) ApplyDelta(d Delta) (*Graph, []VertexID, error) {
 	g2.byLabel = byLabel
 	g2.deleted, g2.numDeleted = deleted, numDeleted
 	return g2, touched, nil
+}
+
+// copyClean lays out the old vertices [a, b), none of them dirty, after
+// what g2 holds so far. The spans move as they are; only the offsets and
+// run offsets shift, each by one constant.
+func (g2 *Graph) copyClean(g *Graph, a, b int) {
+	if a >= b {
+		return
+	}
+	lo, hi := g.offsets[a], g.offsets[b]
+	shift := int64(len(g2.neighbors)) - lo
+	g2.neighbors = append(g2.neighbors, g.neighbors[lo:hi]...)
+	if g.edgeLabels != nil {
+		g2.edgeLabels = append(g2.edgeLabels, g.edgeLabels[lo:hi]...)
+	}
+	rlo, rhi := g.runOff[a], g.runOff[b]
+	rshift := int64(len(g2.runLabels)) - rlo
+	g2.runLabels = append(g2.runLabels, g.runLabels[rlo:rhi]...)
+	g2.runStarts = append(g2.runStarts, g.runStarts[rlo:rhi]...)
+	for v := a; v < b; v++ {
+		g2.offsets[v+1] = g.offsets[v+1] + shift
+		g2.runOff[v+1] = g.runOff[v+1] + rshift
+	}
+}
+
+// mergeDirty appends the new adjacency of v: its old adjacency in g (none
+// for a vertex the batch adds) minus dels plus adds, both in (label, id)
+// order. The old spans between two changes are appended whole; each
+// change is placed by a binary search of the old adjacency.
+func (g2 *Graph) mergeDirty(g *Graph, v VertexID, adds []halfEdge, dels []VertexID) {
+	var lo, hi int64
+	if int(v) < g.NumVertices() {
+		lo, hi = g.offsets[v], g.offsets[v+1]
+	}
+	// at returns the position in g's adjacency of v of the first
+	// neighbour not before w in (label, id) order.
+	at := func(w VertexID) int64 {
+		return lo + int64(sort.Search(int(hi-lo), func(i int) bool { return !g2.before(g.neighbors[lo+int64(i)], w) }))
+	}
+	p := lo
+	for ai, di := 0, 0; ai < len(adds) || di < len(dels); {
+		if di < len(dels) && (ai == len(adds) || g2.before(dels[di], adds[ai].w)) {
+			q := at(dels[di])
+			g2.appendOld(g, p, q)
+			p = q + 1
+			di++
+			continue
+		}
+		q := at(adds[ai].w)
+		g2.appendOld(g, p, q)
+		p = q
+		g2.neighbors = append(g2.neighbors, adds[ai].w)
+		if g2.edgeLabels != nil {
+			g2.edgeLabels = append(g2.edgeLabels, adds[ai].l)
+		}
+		ai++
+	}
+	g2.appendOld(g, p, hi)
+}
+
+// appendOld appends g's half-edges [p, q) to g2.
+func (g2 *Graph) appendOld(g *Graph, p, q int64) {
+	g2.neighbors = append(g2.neighbors, g.neighbors[p:q]...)
+	if g2.edgeLabels != nil {
+		g2.edgeLabels = append(g2.edgeLabels, g.edgeLabels[p:q]...)
+	}
 }

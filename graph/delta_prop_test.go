@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -67,32 +68,33 @@ func (m *deltaModel) apply(d Delta) {
 	}
 }
 
-// neighbors returns v's expected adjacency, in (label, id) order, with
-// aligned half-edge labels.
-func (m *deltaModel) neighbors(v VertexID) ([]VertexID, []EdgeLabel) {
-	var ns []VertexID
-	lab := make(map[VertexID]EdgeLabel)
+// adjacency returns every vertex's expected adjacency, in (label, id)
+// order, with aligned half-edge labels (nil lists on an edge-unlabelled
+// model). It makes one pass over the edges, so checking a graph of
+// thousands of vertices stays linear in its size.
+func (m *deltaModel) adjacency() ([][]VertexID, [][]EdgeLabel) {
+	hs := make([][]halfEdge, len(m.labels))
 	for k, l := range m.edges {
-		switch v {
-		case k[0]:
-			ns = append(ns, k[1])
-			lab[k[1]] = l
-		case k[1]:
-			ns = append(ns, k[0])
-			lab[k[0]] = l
-		}
+		hs[k[0]] = append(hs[k[0]], halfEdge{w: k[1], l: l})
+		hs[k[1]] = append(hs[k[1]], halfEdge{w: k[0], l: l})
 	}
-	sort.Slice(ns, func(i, j int) bool {
-		if li, lj := m.labels[ns[i]], m.labels[ns[j]]; li != lj {
-			return li < lj
-		}
-		return ns[i] < ns[j]
-	})
-	var ls []EdgeLabel
+	ns := make([][]VertexID, len(hs))
+	var ls [][]EdgeLabel
 	if m.labeled {
-		ls = make([]EdgeLabel, len(ns))
-		for i, w := range ns {
-			ls[i] = lab[w]
+		ls = make([][]EdgeLabel, len(hs))
+	}
+	for v, h := range hs {
+		sort.Slice(h, func(i, j int) bool {
+			if li, lj := m.labels[h[i].w], m.labels[h[j].w]; li != lj {
+				return li < lj
+			}
+			return h[i].w < h[j].w
+		})
+		for _, e := range h {
+			ns[v] = append(ns[v], e.w)
+			if m.labeled {
+				ls[v] = append(ls[v], e.l)
+			}
 		}
 	}
 	return ns, ls
@@ -143,6 +145,7 @@ func checkAgainstModel(t testing.TB, g *Graph, m *deltaModel) {
 		t.Fatalf("MaxDegree = %d, oracle %d", g.MaxDegree(), oracle.MaxDegree())
 	}
 	maxL := g.NumLabels()
+	adj, adjLab := m.adjacency()
 	for v := 0; v < g.NumVertices(); v++ {
 		vid := VertexID(v)
 		if g.Label(vid) != m.labels[v] {
@@ -151,7 +154,7 @@ func checkAgainstModel(t testing.TB, g *Graph, m *deltaModel) {
 		if g.Deleted(vid) != m.deleted[vid] {
 			t.Fatalf("Deleted(%d) = %v, want %v", v, g.Deleted(vid), m.deleted[vid])
 		}
-		wantN, wantL := m.neighbors(vid)
+		wantN := adj[v]
 		gotN := g.Neighbors(vid)
 		if len(gotN) != len(wantN) {
 			t.Fatalf("Neighbors(%d) = %v, want %v", v, gotN, wantN)
@@ -162,7 +165,7 @@ func checkAgainstModel(t testing.TB, g *Graph, m *deltaModel) {
 			}
 		}
 		if m.labeled {
-			gotL := g.EdgeLabels(vid)
+			gotL, wantL := g.EdgeLabels(vid), adjLab[v]
 			for i := range wantL {
 				if gotL[i] != wantL[i] {
 					t.Fatalf("EdgeLabels(%d) = %v, want %v", v, gotL, wantL)
@@ -387,6 +390,126 @@ func TestDeltaPropertyRandomBatchesEdgeLabeled(t *testing.T) {
 	for seed := int64(10); seed <= 13; seed++ {
 		runDeltaPropSequence(t, seed, true)
 	}
+}
+
+// TestDeltaPropertyLongCleanSpans runs 1–4-op batches over a power-law
+// graph of thousands of vertices, where a batch's dirty vertices are a few
+// among thousands, so ApplyDelta copies long clean ranges in bulk — the
+// 12-vertex sequences above dirty nearly every vertex. The batches cycle
+// through an edge between vertex 0 and the last old vertex (the only two
+// dirty ones, so one clean range spans the rest), a new vertex wired to
+// one of them, a vertex delete (later epochs carry its tombstone inside a
+// clean range), and edge ops at random vertices that begin with a delete
+// at the maximum-degree vertex.
+func TestDeltaPropertyLongCleanSpans(t *testing.T) {
+	for _, labeled := range []bool{false, true} {
+		runDeltaLongSpans(t, 20, labeled)
+	}
+}
+
+func runDeltaLongSpans(t *testing.T, seed int64, labeled bool) {
+	const numLabels = 3
+	rng := rand.New(rand.NewSource(seed))
+	g := RandomPowerLaw(GenConfig{NumVertices: 3000, NumLabels: numLabels, AvgDegree: 6, Seed: seed})
+	if labeled {
+		b := NewBuilder(g.NumVertices(), g.NumEdges())
+		for v := 0; v < g.NumVertices(); v++ {
+			b.AddVertex(g.Label(VertexID(v)))
+		}
+		for v := 0; v < g.NumVertices(); v++ {
+			for _, w := range g.Neighbors(VertexID(v)) {
+				if VertexID(v) < w {
+					b.AddEdgeLabeled(VertexID(v), w, EdgeLabel(rng.Intn(4)))
+				}
+			}
+		}
+		g = b.MustBuild()
+	}
+	m := newDeltaModel(g)
+	for step := 0; step < 36; step++ {
+		d := spanDelta(rng, g, m, step, numLabels)
+		if ops := d.Ops(); ops < 1 || ops > 4 {
+			t.Fatalf("step %d: batch of %d ops", step, ops)
+		}
+		g2, touched, err := g.ApplyDelta(d)
+		if err != nil {
+			t.Fatalf("step %d labeled %v: ApplyDelta(%+v): %v", step, labeled, d, err)
+		}
+		if !slices.IsSorted(touched) || len(slices.Compact(slices.Clone(touched))) != len(touched) {
+			t.Fatalf("step %d: touched %v not sorted and distinct", step, touched)
+		}
+		if last := VertexID(g.NumVertices() - 1); step%4 == 0 && !slices.Equal(touched, []VertexID{0, last}) {
+			t.Fatalf("step %d: touched %v, want [0 %d]", step, touched, last)
+		}
+		m.apply(d)
+		checkAgainstModel(t, g2, m)
+		g = g2
+	}
+	if g.NumDeleted() == 0 {
+		t.Fatalf("labeled %v: no tombstone after %d epochs", labeled, 36)
+	}
+}
+
+// spanDelta returns the 1–4-op batch of epoch step for
+// TestDeltaPropertyLongCleanSpans, valid against g and its model m.
+// Vertex 0 and the last old vertex are never deleted.
+func spanDelta(rng *rand.Rand, g *Graph, m *deltaModel, step, numLabels int) Delta {
+	var d Delta
+	nOld := g.NumVertices()
+	last := VertexID(nOld - 1)
+	seen := make(map[[2]VertexID]bool)
+	edgeLabel := func() {
+		if m.labeled {
+			d.AddEdgeLabels = append(d.AddEdgeLabels, EdgeLabel(rng.Intn(4)))
+		}
+	}
+	// toggle deletes (u, v) if present and inserts it otherwise.
+	toggle := func(u, v VertexID) {
+		k := [2]VertexID{min(u, v), max(u, v)}
+		if u == v || seen[k] || g.Deleted(u) || g.Deleted(v) {
+			return
+		}
+		seen[k] = true
+		if g.HasEdge(u, v) {
+			d.DelEdges = append(d.DelEdges, k)
+			return
+		}
+		d.AddEdges = append(d.AddEdges, k)
+		edgeLabel()
+	}
+	switch step % 4 {
+	case 0:
+		toggle(0, last)
+	case 1:
+		d.AddVertices = []Label{Label(rng.Intn(numLabels))}
+		end := VertexID(0)
+		if rng.Intn(2) == 1 {
+			end = last
+		}
+		d.AddEdges = [][2]VertexID{{end, VertexID(nOld)}}
+		edgeLabel()
+	case 2:
+		for {
+			v := VertexID(1 + rng.Intn(nOld-2))
+			if !g.Deleted(v) && g.Degree(v) <= 16 {
+				d.DelVertices = []VertexID{v}
+				break
+			}
+		}
+	case 3:
+		hub := VertexID(0)
+		for v := 0; v < nOld; v++ {
+			if g.Degree(VertexID(v)) > g.Degree(hub) {
+				hub = VertexID(v)
+			}
+		}
+		ns := g.Neighbors(hub)
+		toggle(hub, ns[rng.Intn(len(ns))])
+		for i := rng.Intn(4); i > 0; i-- {
+			toggle(VertexID(rng.Intn(nOld)), VertexID(rng.Intn(nOld)))
+		}
+	}
+	return d
 }
 
 // FuzzApplyDelta decodes arbitrary bytes into a delta sequence against a

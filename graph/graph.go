@@ -38,9 +38,12 @@ type Graph struct {
 	// half-edge v→neighbors[i] is edgeLabels[i] (see edgelabel.go).
 	edgeLabels []EdgeLabel
 	// Label runs: those of v are [runOff[v], runOff[v+1]); run k holds the
-	// neighbours labelled runLabels[k] and starts at neighbors[runStarts[k]]
-	// (it ends where v's next run starts, or at offsets[v+1]). int64 like
-	// offsets: runs are bounded by half-edges, which exceed int32.
+	// neighbours labelled runLabels[k] and starts at offset runStarts[k]
+	// within v's adjacency, that is at neighbors[offsets[v]+runStarts[k]]
+	// (it ends where v's next run starts, or at offsets[v+1]). Relative
+	// starts keep a vertex's runs valid wherever its adjacency sits, so
+	// ApplyDelta copies an unchanged vertex's runs verbatim. int64 like
+	// offsets: a hub's degree can exceed int32.
 	runOff    []int64 // len = n+1
 	runLabels []Label
 	runStarts []int64
@@ -117,10 +120,11 @@ func (g *Graph) labelRun(v VertexID, l Label) (int64, int64) {
 	if k == len(labels) || labels[k] != l {
 		return 0, 0
 	}
+	base := g.offsets[v]
 	if rs+k+1 < re {
-		return g.runStarts[rs+k], g.runStarts[rs+k+1]
+		return base + g.runStarts[rs+k], base + g.runStarts[rs+k+1]
 	}
-	return g.runStarts[rs+k], g.offsets[v+1]
+	return base + g.runStarts[rs+k], g.offsets[v+1]
 }
 
 // before reports whether neighbour a precedes neighbour b in adjacency
@@ -135,10 +139,11 @@ func (g *Graph) before(a, b VertexID) bool {
 // appendRuns appends the label runs of v's adjacency, already in (label,
 // id) order, and closes v's range of runs.
 func (g *Graph) appendRuns(v int) {
-	for p := g.offsets[v]; p < g.offsets[v+1]; p++ {
-		if l := g.labels[g.neighbors[p]]; p == g.offsets[v] || l != g.labels[g.neighbors[p-1]] {
+	lo := g.offsets[v]
+	for p := lo; p < g.offsets[v+1]; p++ {
+		if l := g.labels[g.neighbors[p]]; p == lo || l != g.labels[g.neighbors[p-1]] {
 			g.runLabels = append(g.runLabels, l)
-			g.runStarts = append(g.runStarts, p)
+			g.runStarts = append(g.runStarts, p-lo)
 		}
 	}
 	g.runOff[v+1] = int64(len(g.runLabels))
@@ -290,7 +295,7 @@ func (g *Graph) validateLayout(v int) error {
 		if p > lo && g.labels[w] == g.labels[g.neighbors[p-1]] {
 			continue
 		}
-		if k == end || g.runLabels[k] != g.labels[w] || g.runStarts[k] != p {
+		if k == end || g.runLabels[k] != g.labels[w] || g.runStarts[k] != p-lo {
 			return fmt.Errorf("graph: label runs of %d do not match its adjacency", v)
 		}
 		k++

@@ -29,8 +29,9 @@ import (
 
 // EdgeMatcher enumerates the embeddings of one query that use at least one
 // edge of a changed-edge set. It holds the query's per-edge seeded plans
-// and scratch sized to the largest graph it has matched on, so repeated
-// calls allocate only the seeded CSTs and the embeddings they return. It is
+// and buffers sized by the query and the batch; the tables sized by the
+// graph live in a MatchScratch the caller passes in, so repeated calls
+// allocate only the seeded CSTs and the embeddings they return. It is
 // single-goroutine state.
 type EdgeMatcher struct {
 	q      *graph.Query
@@ -40,12 +41,20 @@ type EdgeMatcher struct {
 	filter []localFilter            // per query vertex
 
 	changed [][2]graph.VertexID // this call's changed edges: (lo, hi), sorted, distinct
-	st      stamps
-	pos     []uint32 // probeRows' position table, then transpose's cursor
 	e       Enumerator
 	k       int // the query edge the running pass is seeded on
 	out     []graph.Embedding
 	keepFn  func(graph.Embedding) bool
+}
+
+// MatchScratch is the per-data-vertex state of EdgeMatcher.Match: the stamp
+// table and the position table, 8 B per vertex of the largest graph
+// matched on. Matches that never run at the same time, such as the
+// standing queries of one graph, which are notified one at a time, share
+// one. The zero value is ready to use.
+type MatchScratch struct {
+	st  stamps
+	pos []uint32 // probeRows' position table, then transpose's cursor
 }
 
 // NewEdgeMatcher prepares the seeded plans of q: a BFS tree rooted at one
@@ -71,8 +80,9 @@ func NewEdgeMatcher(q *graph.Query) *EdgeMatcher {
 // query edge onto an edge of changed, each exactly once, in no specified
 // order. changed lists undirected edges of g, in either orientation and
 // possibly repeated. A query without edges matches nothing here: its
-// embeddings change with the vertices, not the edges.
-func (m *EdgeMatcher) Match(g *graph.Graph, changed [][2]graph.VertexID) []graph.Embedding {
+// embeddings change with the vertices, not the edges. sc must not be in
+// use by another Match at the same time.
+func (m *EdgeMatcher) Match(g *graph.Graph, changed [][2]graph.VertexID, sc *MatchScratch) []graph.Embedding {
 	if len(changed) == 0 || len(m.edges) == 0 {
 		return nil
 	}
@@ -86,11 +96,11 @@ func (m *EdgeMatcher) Match(g *graph.Graph, changed [][2]graph.VertexID) []graph
 	slices.SortFunc(m.changed, cmpEdge)
 	m.changed = slices.Compact(m.changed)
 	n := g.NumVertices()
-	m.st.s = growStamps(m.st.s, n)
-	m.pos = growStamps(m.pos, n)
+	sc.st.s = growStamps(sc.st.s, n)
+	sc.pos = growStamps(sc.pos, n)
 
 	for k := range m.edges {
-		c := m.seed(g, k)
+		c := m.seed(g, k, sc)
 		if c == nil {
 			continue
 		}
@@ -118,7 +128,7 @@ func growStamps(s []uint32, n int) []uint32 {
 // every other C(u) is the label-u neighbours of C(parent(u)) that pass it.
 // Refinement and adjacency then run as in BuildWorkers, with the (a, b)
 // rows cut to the changed edges.
-func (m *EdgeMatcher) seed(g *graph.Graph, k int) *CST {
+func (m *EdgeMatcher) seed(g *graph.Graph, k int, sc *MatchScratch) *CST {
 	a, b := m.edges[k][0], m.edges[k][1]
 	q, t := m.q, m.trees[k]
 	la, lb := q.Label(a), q.Label(b)
@@ -143,15 +153,15 @@ func (m *EdgeMatcher) seed(g *graph.Graph, k int) *CST {
 		if u == b {
 			continue
 		}
-		gen := m.st.next()
+		gen := sc.st.next()
 		l := q.Label(u)
 		var cu []graph.VertexID
 		for _, v := range c.Cand[t.Parent[u]] {
 			for _, w := range g.NeighborsWithLabel(v, l, nil) {
-				if m.st.s[w] == gen {
+				if sc.st.s[w] == gen {
 					continue
 				}
-				m.st.s[w] = gen
+				sc.st.s[w] = gen
 				if m.filter[u].admits(g, w) {
 					cu = append(cu, w)
 				}
@@ -163,19 +173,19 @@ func (m *EdgeMatcher) seed(g *graph.Graph, k int) *CST {
 		slices.Sort(cu)
 		c.Cand[u] = cu
 	}
-	c.bottomUp(g, &m.st, 1)
-	c.topDown(g, &m.st, 1)
+	c.bottomUp(g, &sc.st, 1)
+	c.topDown(g, &sc.st, 1)
 	if c.IsEmpty() {
 		return nil
 	}
 	c.addCandBytes()
 	var uncancelled restrictScratch
-	c.writeAdjacency(m.pairs[k], m.pos, &uncancelled, func(u, w graph.QueryVertex, fwd, rev []int32, tgt []CandIndex) int32 {
+	c.writeAdjacency(m.pairs[k], sc.pos, &uncancelled, func(u, w graph.QueryVertex, fwd, rev []int32, tgt []CandIndex) int32 {
 		var cut [][2]graph.VertexID
 		if u == a && w == b {
 			cut = m.changed
 		}
-		return c.probeRows(g, u, w, m.pos, fwd, rev, tgt, cut)
+		return c.probeRows(g, u, w, sc.pos, fwd, rev, tgt, cut)
 	})
 	return c
 }

@@ -36,6 +36,7 @@ func TestEdgeMatcherPath(t *testing.T) {
 	}
 	q := graph.MustQuery("bcd", []graph.Label{1, 2, 3}, [][2]graph.QueryVertex{{0, 1}, {1, 2}})
 	m := NewEdgeMatcher(q)
+	var sc MatchScratch
 	for _, tc := range []struct {
 		changed [][2]graph.VertexID
 		want    int
@@ -45,7 +46,7 @@ func TestEdgeMatcherPath(t *testing.T) {
 		{[][2]graph.VertexID{{3, 2}}, 1},
 		{[][2]graph.VertexID{{1, 2}, {2, 3}, {3, 2}}, 1},
 	} {
-		got := m.Match(g, tc.changed)
+		got := m.Match(g, tc.changed, &sc)
 		if len(got) != tc.want {
 			t.Fatalf("changed %v: %d embeddings %v, want %d", tc.changed, len(got), got, tc.want)
 		}

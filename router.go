@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"fastmatch/graph"
+	"fastmatch/internal/cst"
 	"fastmatch/internal/host"
 )
 
@@ -100,6 +101,10 @@ type routerGraph struct {
 	//
 	//fastmatch:lockorder routerGraph.mutMu < Router.mu
 	mutMu sync.Mutex
+	// match is the standing queries' matcher scratch, 8 B per data vertex:
+	// one per tenant, not per subscription, since every notify runs under
+	// mutMu.
+	match cst.MatchScratch
 
 	// Standing continuous queries (subscribe.go), guarded by subMu, which
 	// nests inside both mutMu and Router.mu and takes no lock itself.

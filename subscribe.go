@@ -41,8 +41,9 @@ type Subscription struct {
 	query *graph.Query
 	epoch uint64 // registration epoch; written once in Subscribe, so Epoch reads it unlocked
 
-	// match finds the embeddings that use a changed edge. It is owned by
-	// the mutation path: notify runs under ent.mutMu.
+	// match finds the embeddings that use a changed edge, on the tenant's
+	// shared ent.match scratch. It is owned by the mutation path: notify
+	// runs under ent.mutMu.
 	match *cst.EdgeMatcher
 
 	ch        chan MatchDelta
@@ -169,7 +170,7 @@ func (s *Subscription) delta(g, g2 *graph.Graph, d graph.Delta) (added, removed 
 			deleted = append(deleted, [2]graph.VertexID{v, w})
 		}
 	}
-	return s.match.Match(g2, d.AddEdges), s.match.Match(g, deleted)
+	return s.match.Match(g2, d.AddEdges, &s.ent.match), s.match.Match(g, deleted, &s.ent.match)
 }
 
 // drain is the delivery goroutine: it hands queued MatchDeltas to emit one

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -276,8 +278,8 @@ func logHubCost(t *testing.T, qs []*graph.Query, g, g2 *graph.Graph, d graph.Del
 			continue
 		}
 		start := time.Now()
-		m := cst.NewEdgeMatcher(q)
-		n := len(m.Match(g2, d.AddEdges)) + len(m.Match(g, deleted))
+		m, sc := cst.NewEdgeMatcher(q), new(cst.MatchScratch)
+		n := len(m.Match(g2, d.AddEdges, sc)) + len(m.Match(g, deleted, sc))
 		matchDur := time.Since(start)
 		start = time.Now()
 		cst.BuildWorkers(q, g2, order.BuildBFSTree(q, order.SelectRoot(q, g2)), 2)
@@ -292,13 +294,33 @@ func logHubCost(t *testing.T, qs []*graph.Query, g, g2 *graph.Graph, d graph.Del
 // and re-insert edges q1's labels can use, off the hubs (both endpoints of
 // degree at most 32, as the benchmark's generator draws them).
 func notifyAllocs(t *testing.T, base int) float64 {
+	g, q, edges := q1Batches(t, base)
+	r := NewRouter(RouterOptions{Workers: 2, Engine: engineTestOptions(2)})
+	if err := r.AddGraph("g", g, nil); err != nil {
+		t.Fatal(err)
+	}
+	batches := func() float64 {
+		return testing.AllocsPerRun(5, func() { applyDeleteReinsert(t, r, edges) }) / float64(2*len(edges))
+	}
+	without := batches()
+	sub, err := r.Subscribe(context.Background(), "g", q, func(MatchDelta) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	return batches() - without
+}
+
+// q1Batches returns the LDBC graph of the given base, seed 42, the query
+// q1, and two edges per label pair of q1's edges, off the hubs (both
+// endpoints of degree at most 32, as the benchmark's generator draws
+// them), drawn the same way at every base.
+func q1Batches(t *testing.T, base int) (*graph.Graph, *graph.Query, [][2]graph.VertexID) {
 	g := ldbc.Generate(ldbc.Config{ScaleFactor: 1, BasePersons: base, Seed: 42})
 	q, err := ldbc.QueryByName("q1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Two edges per label pair of q1's edges, drawn the same way at every
-	// base.
 	var edges [][2]graph.VertexID
 	rng := rand.New(rand.NewSource(42))
 	for u := 0; u < q.NumVertices(); u++ {
@@ -319,29 +341,21 @@ func notifyAllocs(t *testing.T, base int) float64 {
 			}
 		}
 	}
-	r := NewRouter(RouterOptions{Workers: 2, Engine: engineTestOptions(2)})
-	if err := r.AddGraph("g", g, nil); err != nil {
-		t.Fatal(err)
+	return g, q, edges
+}
+
+// applyDeleteReinsert applies, per edge, a one-edge delete batch and then
+// its re-insert, leaving the edge set as it found it.
+func applyDeleteReinsert(t *testing.T, r *Router, edges [][2]graph.VertexID) {
+	t.Helper()
+	for _, e := range edges {
+		if _, err := r.ApplyDelta("g", graph.Delta{DelEdges: [][2]graph.VertexID{e}}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.ApplyDelta("g", graph.Delta{AddEdges: [][2]graph.VertexID{e}}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	batches := func() float64 {
-		return testing.AllocsPerRun(5, func() {
-			for _, e := range edges {
-				if _, err := r.ApplyDelta("g", graph.Delta{DelEdges: [][2]graph.VertexID{e}}); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := r.ApplyDelta("g", graph.Delta{AddEdges: [][2]graph.VertexID{e}}); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}) / float64(2*len(edges))
-	}
-	without := batches()
-	sub, err := r.Subscribe(context.Background(), "g", q, func(MatchDelta) error { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sub.Close()
-	return batches() - without
 }
 
 // TestNotifyAllocsFollowTheDelta is the gate that a subscriber's notify
@@ -357,6 +371,76 @@ func TestNotifyAllocsFollowTheDelta(t *testing.T) {
 	if mid > notifyAllocCeiling {
 		t.Errorf("base 400 notify allocates %.1f, over the ceiling %d", mid, notifyAllocCeiling)
 	}
+}
+
+// TestSubscriberHeapFollowsTheQuery is the gate that a subscriber holds
+// its query's plan and queue, not state sized by the graph: the heap one
+// more identical q1 subscriber adds, once it has been notified, is about
+// the same at LDBC base 1600 as at base 400, and under a fixed ceiling.
+// A per-subscriber table of a few bytes per data vertex grows about 4×
+// between the two bases and fails both.
+func TestSubscriberHeapFollowsTheQuery(t *testing.T) {
+	mid, large := subscriberHeap(t, 400), subscriberHeap(t, 1600)
+	t.Logf("heap per extra subscriber: base 400 %.0f B, base 1600 %.0f B", mid, large)
+	if large > 1.5*mid {
+		t.Errorf("base 1600 subscriber holds %.0f B, over 1.5× base 400's %.0f B: subscribers scale with the graph", large, mid)
+	}
+	if large > subscriberHeapCeiling {
+		t.Errorf("base 1600 subscriber holds %.0f B, over the ceiling %d B", large, subscriberHeapCeiling)
+	}
+}
+
+// subscriberHeapCeiling bounds the heap of one notified q1 subscriber:
+// its seeded plans, Enumerator buffers (which keep the last seeded CST)
+// and MatchDelta queue, 7.5–8 KB measured at both bases, with headroom
+// for toolchain drift. A subscriber that owned its matcher's stamp and
+// position tables held 49 KB at base 400 and 172 KB at base 1600.
+const subscriberHeapCeiling = 12 << 10
+
+// subscriberHeap returns the heap each of 16 extra q1 subscribers adds to
+// a tenant that has one, on the LDBC graph of the given base. Heap is
+// HeapAlloc after two GCs, read once every subscriber has been notified
+// of, and has handed on, the same delete and re-insert batches.
+func subscriberHeap(t *testing.T, base int) float64 {
+	g, q, edges := q1Batches(t, base)
+	r := NewRouter(RouterOptions{Workers: 2, Engine: engineTestOptions(2)})
+	if err := r.AddGraph("g", g, nil); err != nil {
+		t.Fatal(err)
+	}
+	var delivered atomic.Int64
+	var subs []*Subscription
+	defer func() {
+		for _, s := range subs {
+			s.Close()
+		}
+	}()
+	heapWith := func(k int) uint64 {
+		for len(subs) < k {
+			s, err := r.Subscribe(context.Background(), "g", q, func(MatchDelta) error {
+				delivered.Add(1)
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			subs = append(subs, s)
+		}
+		want := delivered.Load() + int64(2*len(edges)*k)
+		applyDeleteReinsert(t, r, edges)
+		for deadline := time.Now().Add(10 * time.Second); delivered.Load() < want; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d of %d MatchDeltas delivered", delivered.Load(), want)
+			}
+		}
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	one := heapWith(1)
+	many := heapWith(17)
+	return (float64(many) - float64(one)) / 16
 }
 
 // notifyAllocCeiling bounds a base-400 notify's allocations: 81 measured
