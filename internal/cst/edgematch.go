@@ -108,6 +108,7 @@ func (m *EdgeMatcher) Match(g *graph.Graph, changed [][2]graph.VertexID, sc *Mat
 		m.e.Reset(c, order.PathBased(m.trees[k], c))
 		m.e.Run(m.keepFn)
 	}
+	m.e.Release()
 	out := m.out
 	m.out = nil
 	return out

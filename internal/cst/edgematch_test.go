@@ -57,3 +57,40 @@ func TestEdgeMatcherPath(t *testing.T) {
 		}
 	}
 }
+
+// TestEdgeMatcherReleasesItsCST: once Match returns, the matcher's
+// Enumerator holds no seeded CST, order or view into one, so a standing
+// query pins nothing of the last batch between notifications.
+func TestEdgeMatcherReleasesItsCST(t *testing.T) {
+	// Two triangles sharing the edge (1, 2); the query is a triangle, so
+	// every pass has a non-tree check as well as tree-parent views.
+	g, err := graph.FromEdgeList([]graph.Label{0, 0, 0, 0}, [][2]graph.VertexID{{0, 1}, {0, 2}, {1, 2}, {1, 3}, {2, 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := graph.MustQuery("tri", []graph.Label{0, 0, 0}, [][2]graph.QueryVertex{{0, 1}, {0, 2}, {1, 2}})
+	m := NewEdgeMatcher(q)
+	var sc MatchScratch
+	if got := m.Match(g, [][2]graph.VertexID{{1, 2}}, &sc); len(got) != 12 {
+		t.Fatalf("%d embeddings, want 12 (two triangles, six automorphisms each)", len(got))
+	}
+	e := &m.e
+	if e.c != nil || e.o != nil {
+		t.Fatalf("Enumerator keeps CST %p and order %v", e.c, e.o)
+	}
+	if cap(e.candAt) == 0 || cap(e.checkAdj) == 0 {
+		t.Fatal("Enumerator was never prepared")
+	}
+	for d, c := range e.candAt[:cap(e.candAt)] {
+		if c != nil {
+			t.Fatalf("candAt[%d] still views %v", d, c)
+		}
+	}
+	for _, views := range [][]Adj{e.parentAdj[:cap(e.parentAdj)], e.checkAdj[:cap(e.checkAdj)]} {
+		for d, a := range views {
+			if a.Offsets != nil || a.Targets != nil {
+				t.Fatalf("view %d still aliases a CST's rows", d)
+			}
+		}
+	}
+}

@@ -86,6 +86,15 @@ func (e *Enumerator) Reset(c *CST, o order.Order) {
 	e.checkOff[n] = int32(len(e.checkAdj))
 }
 
+// Release drops the references into the CST and order last run, keeping
+// the buffers, so a pooled or idle Enumerator pins no dead CST.
+func (e *Enumerator) Release() {
+	e.c, e.o = nil, nil
+	clear(e.candAt[:cap(e.candAt)])
+	clear(e.parentAdj[:cap(e.parentAdj)])
+	clear(e.checkAdj[:cap(e.checkAdj)])
+}
+
 // Run backtracks over the prepared CST and invokes emit for every embedding
 // it contains, in matching order. If emit returns false, enumeration stops
 // early. It returns the number of embeddings found (each found embedding

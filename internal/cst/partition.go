@@ -89,10 +89,13 @@ func (cfg PartitionConfig) fits(size int64, maxDeg int) bool {
 // the composed range.
 func Partition(c *CST, o order.Order, cfg PartitionConfig, process func(*CST)) int {
 	s := partitionScratches.Get().(*partitionScratch)
-	defer func() {
-		s.release()
-		partitionScratches.Put(s)
-	}()
+	defer partitionScratches.Put(s)
+	return s.partition(c, o, cfg, process)
+}
+
+// partition is Partition on the scratch s, which it leaves released.
+func (s *partitionScratch) partition(c *CST, o order.Order, cfg PartitionConfig, process func(*CST)) int {
+	defer s.release()
 	// The scratch carries the cancel hook into restrict itself (amortised
 	// poll), so even a single huge restrict observes cancellation promptly.
 	s.sc.cancel, s.sc.degLimit = cfg.Cancel, cfg.MaxCandDegree
@@ -268,15 +271,14 @@ func evenChunk(n, k, i int) [2]int {
 const pollMask = 63
 
 // restrictScratch holds restrict's working state: the count phase's
-// results for the last piece counted, and the buffers both phases reuse
-// from piece to piece. Only bookkeeping lives here; everything that escapes
-// into a built CST is freshly allocated. A scratch is single-goroutine
-// state, owned by one Partition call at a time.
+// results for the last piece counted (kept bitsets and lists), and the
+// buffers both phases reuse from piece to piece. Only bookkeeping lives
+// here; everything that escapes into a built CST is freshly allocated. A
+// scratch is single-goroutine state, owned by one Partition call at a time.
 type restrictScratch struct {
-	// from and u are the last count's ancestor and split vertex; the
-	// per-vertex state below is in from's index space.
+	// from is the last count's ancestor; the per-vertex state below is in
+	// its index space, for the count's split vertex u.
 	from  *CST
-	u     graph.QueryVertex
 	inSub []bool // u's tree subtree
 	keptMask
 	remap [][]CandIndex // old index -> new index, written for kept entries only
@@ -316,14 +318,15 @@ type restrictScratch struct {
 // keptMask describes a counted piece in its ancestor's index space.
 type keptMask struct {
 	changed []bool // vertices that lose candidates in this piece
-	// kept[w][i] == gen marks, per vertex in u's subtree, the candidate
-	// indices that survive; a new count bumps gen instead of clearing.
-	// keptList[w] lists them, in discovery order until the build sorts the
-	// changed vertices' lists ascending.
-	gen      uint32
-	kept     [][]uint32
+	// kept[w] is, per vertex in u's subtree, a bitset over C(w) whose bit i
+	// is set when candidate i survives; keptList[w] lists the set bits
+	// ascending.
+	kept     [][]uint64
 	keptList [][]CandIndex
 }
+
+// isKept reports whether bit i of the bitset b is set.
+func isKept(b []uint64, i CandIndex) bool { return b[i>>6]&(1<<(i&63)) != 0 }
 
 // polled reports whether the owning Partition call was cancelled, checking
 // the hook only every 64th call; a scratch without a hook (Build's) never
@@ -342,26 +345,18 @@ func resized[T any](s []T, n int) []T {
 	return slices.Grow(s[:0], n)[:n]
 }
 
-// sortKept orders keptList[w] ascending: by sorting it when it is small
-// against |C(w)|, otherwise by one scan of the kept stamps. It reports
-// false when the cancel hook fired.
-func (sc *restrictScratch) sortKept(w graph.QueryVertex) bool {
-	kl, kw, gen := sc.keptList[w], sc.kept[w], sc.gen
-	if len(kl)*bits.Len(uint(len(kl))) < len(kw) {
-		slices.Sort(kl)
-		return true
-	}
-	n := 0
-	for i, s := range kw {
-		if i&pollMask == 0 && sc.polled() {
-			return false
+// listKept appends the set bits of the bitset b to l, ascending, by one
+// scan of its words. It reports false when the cancel hook fired.
+func (sc *restrictScratch) listKept(b []uint64, l []CandIndex) ([]CandIndex, bool) {
+	for wi, word := range b {
+		if wi&pollMask == 0 && sc.polled() {
+			return l, false
 		}
-		if s == gen {
-			kl[n] = CandIndex(i)
-			n++
+		for ; word != 0; word &= word - 1 {
+			l = append(l, CandIndex(wi<<6|bits.TrailingZeros64(word)))
 		}
 	}
-	return true
+	return l, true
 }
 
 // count is restrict's count phase: the piece of a with C(u) cut to chunk,
@@ -374,29 +369,24 @@ func (sc *restrictScratch) sortKept(w graph.QueryVertex) bool {
 // MaxCandDegree without building it; build then materialises the piece
 // from this state.
 //
-// A count costs work in proportion to the piece: reachability and the
-// counts walk only kept rows, and each changed query edge is walked in one
-// direction, the other being counted from the same rows. No per-vertex
-// state is cleared in proportion to a's candidate sets: the kept marks are
-// stamps, and the reverse-row counters are cleared through the indices
-// they touched.
+// A count costs work in proportion to the piece, plus |C(w)|/64 words per
+// vertex w of u's subtree: reachability and the counts walk only kept
+// rows, and each changed query edge is walked in one direction, the other
+// being counted from the same rows. Each kept bitset is cleared, marked,
+// then scanned once to list w's kept candidates ascending, so later walks
+// over kept rows run in candidate order; the reverse-row counters are
+// cleared through the indices they touched.
 //
 // count polls sc's amortised cancel hook once per row block and reports
 // false once it fires; callers must then stop producing.
 func (sc *restrictScratch) count(a *CST, u graph.QueryVertex, chunk [2]int) bool {
 	t := a.Tree
 	n := a.Query.NumVertices()
-	if sc.gen++; sc.gen == 0 {
-		// The stamps wrapped: start over on fresh ones, so that no old mark
-		// reads as current.
-		sc.kept, sc.gen = nil, 1
-	}
 	sc.inSub, sc.changed = resized(sc.inSub, n), resized(sc.changed, n)
 	clear(sc.inSub)
 	clear(sc.changed)
 	sc.kept, sc.keptList, sc.remap = resized(sc.kept, n), resized(sc.keptList, n), resized(sc.remap, n)
-	sc.from, sc.u = a, u
-	gen := sc.gen
+	sc.from = a
 
 	// inSub[w] marks u's tree subtree: only those vertices carry
 	// per-candidate bookkeeping at all (everything else keeps its whole
@@ -405,7 +395,8 @@ func (sc *restrictScratch) count(a *CST, u graph.QueryVertex, chunk [2]int) bool
 	markSubtree(t, u, inSub)
 	for w := 0; w < n; w++ {
 		if inSub[w] {
-			kept[w] = resized(kept[w], len(a.Cand[w]))
+			kept[w] = resized(kept[w], (len(a.Cand[w])+63)>>6)
+			clear(kept[w])
 			keptList[w] = keptList[w][:0]
 		}
 	}
@@ -414,7 +405,7 @@ func (sc *restrictScratch) count(a *CST, u graph.QueryVertex, chunk [2]int) bool
 		if (i-chunk[0])&pollMask == 0 && sc.polled() {
 			return false
 		}
-		ku[i] = gen
+		ku[i>>6] |= 1 << (i & 63)
 		lu = append(lu, CandIndex(i))
 	}
 	keptList[u] = lu
@@ -425,19 +416,19 @@ func (sc *restrictScratch) count(a *CST, u graph.QueryVertex, chunk [2]int) bool
 			continue
 		}
 		adj := a.Edge(t.Parent[w], w) // the parent is in the subtree too (only u's parent is outside)
-		kw, lw := kept[w], keptList[w]
+		kw := kept[w]
 		for r, pi := range keptList[t.Parent[w]] {
 			if r&pollMask == 0 && sc.polled() {
 				return false
 			}
 			for _, ci := range adj.Neighbors(pi) {
-				if kw[ci] != gen {
-					kw[ci] = gen
-					lw = append(lw, ci)
-				}
+				kw[ci>>6] |= 1 << (ci & 63)
 			}
 		}
-		keptList[w] = lw
+		var ok bool
+		if keptList[w], ok = sc.listKept(kw, keptList[w]); !ok {
+			return false
+		}
 	}
 
 	changed := sc.changed
@@ -463,7 +454,7 @@ func (sc *restrictScratch) count(a *CST, u graph.QueryVertex, chunk [2]int) bool
 	// reachability pass kept them — so its rows count in O(1) each. Any
 	// other edge is walked from a changed endpoint f — the one keeping fewer
 	// candidates when both changed — and its targets are filtered through
-	// the other endpoint's kept stamps when that changed too.
+	// the other endpoint's kept bitset when that changed too.
 	sc.edgeList = appendEdgePairs(sc.edgeList[:0], t)
 	sc.pairs, sc.targets = sc.pairs[:0], sc.targets[:0]
 	for _, e := range sc.edgeList {
@@ -494,7 +485,7 @@ func (sc *restrictScratch) count(a *CST, u graph.QueryVertex, chunk [2]int) bool
 				if filter {
 					d = 0
 					for _, j := range row {
-						if keptTo[j] == gen {
+						if isKept(keptTo, j) {
 							d++
 						}
 					}
@@ -539,7 +530,7 @@ func (sc *restrictScratch) candCount(w graph.QueryVertex) int {
 // leaves revLen cleared.
 func (sc *restrictScratch) countReverse(f, to graph.QueryVertex) (int, bool) {
 	a := sc.from
-	adj, keptTo, filter, gen := a.Edge(f, to), sc.kept[to], sc.filtered(f, to), sc.gen
+	adj, keptTo, filter := a.Edge(f, to), sc.kept[to], sc.filtered(f, to)
 	sc.revLen = resized(sc.revLen, len(a.Cand[to]))
 	revLen, touched := sc.revLen, sc.touched[:0]
 	var revMax int32
@@ -552,7 +543,7 @@ func (sc *restrictScratch) countReverse(f, to graph.QueryVertex) (int, bool) {
 			break
 		}
 		for _, j := range adj.Neighbors(i) {
-			if filter && keptTo[j] != gen {
+			if filter && !isKept(keptTo, j) {
 				continue
 			}
 			if revLen[j] == 0 {
@@ -574,11 +565,11 @@ func (sc *restrictScratch) countReverse(f, to graph.QueryVertex) (int, bool) {
 // sets verbatim, so any adjacency list between two unchanged vertices is
 // shared with the ancestor rather than copied (its views alias the
 // ancestor's arenas) — CSTs are immutable after construction. A changed
-// vertex's kept candidates are listed ascending (u's list is the chunk
-// already) and only they get a remap entry. The count sizes each rebuilt
-// edge's arenas and gives the piece's SizeBytes; the edge's rows are the
-// ancestor's, remapped, and filtered again where the count filtered them,
-// as they are written, and the reverse direction is the transpose.
+// vertex's kept candidates are the count's ascending list, and only they
+// get a remap entry. The count sizes each rebuilt edge's arenas and gives
+// the piece's SizeBytes; the edge's rows are the ancestor's, remapped, and
+// filtered again where the count filtered them, as they are written, and
+// the reverse direction is the transpose.
 // Everything the piece owns lands in three arenas — candidates, offsets,
 // targets — so a build performs O(1) allocations however many vertices
 // changed.
@@ -587,7 +578,7 @@ func (sc *restrictScratch) countReverse(f, to graph.QueryVertex) (int, bool) {
 // once it fires; callers must treat a nil return as "stop producing", never
 // as an empty piece.
 func (sc *restrictScratch) build() *CST {
-	a, u := sc.from, sc.u
+	a := sc.from
 	n := a.Query.NumVertices()
 	changed, keptList, remap := sc.changed, sc.keptList, sc.remap
 	part := newCST(a.Query, a.Tree)
@@ -602,9 +593,6 @@ func (sc *restrictScratch) build() *CST {
 		if !changed[w] {
 			part.Cand[w] = a.Cand[w]
 			continue
-		}
-		if w != u && !sc.sortKept(w) {
-			return nil
 		}
 		kl := keptList[w]
 		remap[w] = resized(remap[w], len(a.Cand[w]))
@@ -668,11 +656,11 @@ func (sc *restrictScratch) build() *CST {
 // writeRows writes the rows of the built piece's edge f → to into fwd, in
 // the piece's index space — f's kept rows of the ancestor, ascending, their
 // targets remapped when to changed and filtered again through its kept
-// stamps where the count filtered them — and counts the length of reverse
+// bitset where the count filtered them — and counts the length of reverse
 // row j into rev[j+1]. It returns the longest row.
 func (sc *restrictScratch) writeRows(f, to graph.QueryVertex, fwd Adj, rev []int32) (int32, bool) {
 	adj := sc.from.Edge(f, to)
-	keptTo, remapTo, gen := sc.kept[to], sc.remap[to], sc.gen
+	keptTo, remapTo := sc.kept[to], sc.remap[to]
 	remap, filter := sc.changed[to], sc.filtered(f, to)
 	var w, maxDeg int32
 	for r := 0; r+1 < len(fwd.Offsets); r++ {
@@ -687,7 +675,7 @@ func (sc *restrictScratch) writeRows(f, to graph.QueryVertex, fwd Adj, rev []int
 		switch {
 		case filter:
 			for _, j := range row {
-				if keptTo[j] == gen {
+				if isKept(keptTo, j) {
 					nj := remapTo[j]
 					fwd.Targets[w] = nj
 					rev[nj+1]++

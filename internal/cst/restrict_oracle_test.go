@@ -177,10 +177,11 @@ type oracleEvent struct {
 // second, fourth, ... offer is taken, otherwise none.
 func stealPolicy(stealEveryOther bool, n int) bool { return stealEveryOther && n%2 == 0 }
 
-// recordPartition runs Partition over c with a Steal hook that prices every
-// offer, takes the ones stealPolicy picks and builds only those, and
-// returns every processed piece and offer in order.
-func recordPartition(c *CST, o order.Order, cfg PartitionConfig, stealEveryOther bool) ([]oracleEvent, int) {
+// recordPartition runs Partition over c — on the scratch s, or a pooled one
+// when s is nil — with a Steal hook that prices every offer, takes the ones
+// stealPolicy picks and builds only those, and returns every processed
+// piece and offer in order.
+func recordPartition(s *partitionScratch, c *CST, o order.Order, cfg PartitionConfig, stealEveryOther bool) ([]oracleEvent, int) {
 	var events []oracleEvent
 	offers := 0
 	cfg.Steal = func(of Offer) bool {
@@ -192,7 +193,13 @@ func recordPartition(c *CST, o order.Order, cfg PartitionConfig, stealEveryOther
 		events = append(events, ev)
 		return ev.stolen
 	}
-	n := Partition(c, o, cfg, func(p *CST) { events = append(events, oracleEvent{piece: p}) })
+	process := func(p *CST) { events = append(events, oracleEvent{piece: p}) }
+	var n int
+	if s == nil {
+		n = Partition(c, o, cfg, process)
+	} else {
+		n = s.partition(c, o, cfg, process)
+	}
 	return events, n
 }
 
@@ -218,7 +225,14 @@ func recordOracle(c *CST, o order.Order, cfg PartitionConfig, stealEveryOther bo
 // the number of pieces.
 func requireOracleSequence(t *testing.T, c *CST, o order.Order, cfg PartitionConfig, stealEveryOther bool) int {
 	t.Helper()
-	got, gotN := recordPartition(c, o, cfg, stealEveryOther)
+	return requireOracleSequenceOn(t, nil, c, o, cfg, stealEveryOther)
+}
+
+// requireOracleSequenceOn is requireOracleSequence with Partition run on
+// the scratch s (a pooled one when s is nil).
+func requireOracleSequenceOn(t *testing.T, s *partitionScratch, c *CST, o order.Order, cfg PartitionConfig, stealEveryOther bool) int {
+	t.Helper()
+	got, gotN := recordPartition(s, c, o, cfg, stealEveryOther)
 	want, wantN := recordOracle(c, o, cfg, stealEveryOther)
 	if gotN != wantN {
 		t.Fatalf("Partition returned %d, oracle %d", gotN, wantN)
@@ -408,4 +422,46 @@ func TestPartitionMatchesRestrictOracle(t *testing.T) {
 			requireOracleSequence(t, c, o, PartitionConfig{MaxCandDegree: 16}, true)
 		}
 	})
+}
+
+// TestPartitionMatchesRestrictOracleScratchReuse: one partition scratch
+// serves three CSTs in turn — LDBC q5, a 3-vertex query on a small random
+// graph, then LDBC q3, on the 32 KiB card — so between counts both |V(q)|
+// and the candidate sets the kept bitsets cover shrink and grow, and a bit
+// one count leaves set must never read as kept in the next. Every piece
+// handed out and every Steal price must still be the oracle's.
+func TestPartitionMatchesRestrictOracleScratchReuse(t *testing.T) {
+	type step struct {
+		name string
+		c    *CST
+	}
+	ldbcStep := func(g *graph.Graph, name string) step {
+		q, err := ldbc.QueryByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return step{name, Build(q, g, order.BuildBFSTree(q, order.SelectRoot(q, g)))}
+	}
+	g := ldbc.Generate(ldbc.Config{BasePersons: 400, Seed: 42})
+	small := graph.RandomUniform(graph.GenConfig{NumVertices: 300, NumLabels: 1, AvgDegree: 12, Seed: 5})
+	path := graph.MustQuery("path3", []graph.Label{0, 0, 0}, [][2]graph.QueryVertex{{0, 1}, {1, 2}})
+	steps := []step{
+		ldbcStep(g, "q5"),
+		{"path3", Build(path, small, order.BuildBFSTree(path, 1))},
+		ldbcStep(g, "q3"),
+	}
+	s := new(partitionScratch)
+	for i, st := range steps {
+		n := st.c.Query.NumVertices()
+		maxCand := 0
+		for _, cs := range st.c.Cand {
+			maxCand = max(maxCand, len(cs))
+		}
+		o := order.PathBased(st.c.Tree, st.c)
+		pieces := requireOracleSequenceOn(t, s, st.c, o, cardPartition(32<<10, n), i == 1)
+		t.Logf("%s: |V(q)| %d, largest |C(w)| %d, %d pieces", st.name, n, maxCand, pieces)
+		if pieces < 2 {
+			t.Fatalf("%s: %d pieces; the card does not split it", st.name, pieces)
+		}
+	}
 }

@@ -30,7 +30,7 @@ func (wt *WorkloadTable) Estimate(c *CST) float64 { return wt.estimate(c, nil) }
 // estimate returns EstimateWorkload(c), or, with m non-nil, that of the
 // piece of c that m describes, without building it: the DP runs on c,
 // reading only the kept rows of the changed vertices and filtering c's rows
-// by the kept stamps. Each sum visits the kept targets in the order the
+// by the kept bitsets. Each sum visits the kept targets in the order the
 // built piece lists them, so the two agree bit for bit.
 func (wt *WorkloadTable) estimate(c *CST, m *keptMask) float64 {
 	var offBuf [64]int
@@ -95,10 +95,9 @@ func perCandidateWorkload(c *CST, m *keptMask, offBuf []int, buf []float64) (tab
 		}
 		for k, uc := range t.Children[u] {
 			child, adj := table[off[uc]:off[uc+1]], c.Edge(u, uc)
-			var kept []uint32 // the child's kept stamps, when it changed
-			var gen uint32
+			var kept []uint64 // the child's kept bitset, when it changed
 			if m != nil && m.changed[uc] {
-				kept, gen = m.kept[uc], m.gen
+				kept = m.kept[uc]
 			}
 			for r := 0; r < n; r++ {
 				j := r
@@ -107,7 +106,7 @@ func perCandidateWorkload(c *CST, m *keptMask, offBuf []int, buf []float64) (tab
 				}
 				var sum float64
 				for _, x := range adj.Neighbors(CandIndex(j)) {
-					if kept == nil || kept[x] == gen {
+					if kept == nil || isKept(kept, x) {
 						sum += child[x]
 					}
 				}

@@ -204,6 +204,7 @@ func enumerateShare(ct *runControl, p *cst.CST, o order.Order, collect bool, sin
 			err = newPanicError(faultinject.SiteEnumerate, r)
 			return
 		}
+		e.Release()
 		enumerators.Put(e)
 	}()
 	if out := ct.faults.Eval(faultinject.SiteEnumerate); out.Fault {
