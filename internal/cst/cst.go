@@ -85,7 +85,8 @@ type CST struct {
 	// Entries are Valid exactly for the directed versions of q's edges, and
 	// the views point into the flat offset/target arenas Build or restrict
 	// fills (one arena pair per CST; a restricted piece's unchanged edges
-	// alias its ancestor's arenas instead of copying).
+	// alias its ancestor's arenas instead of copying, so a piece Partition
+	// built keeps its ancestor from being recycled while it is held).
 	adj []Adj
 
 	// Size and degree statistics are queried on every partition decision,
@@ -94,6 +95,22 @@ type CST struct {
 	// stats in while assembling); a CST is immutable once built.
 	sizeBytes int64
 	maxDeg    int
+
+	// spare is a piece's recycling state when Partition built it, nil on
+	// every other CST.
+	spare *spare
+}
+
+// Recycle hands a piece Partition built back to be built into again. The
+// holder of a handed-out piece — the callee of Partition's process
+// callback, or the Steal hook that took it — calls Recycle exactly once,
+// when nothing reads the piece any more; one never recycled is left to the
+// garbage collector. On any CST Partition did not build, Build's or the
+// input handed out whole, Recycle is a no-op.
+func (c *CST) Recycle() {
+	if c.spare != nil {
+		c.spare.release()
+	}
 }
 
 // newCST returns a CST shell with the candidate and dense adjacency tables

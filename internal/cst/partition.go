@@ -4,6 +4,7 @@ import (
 	"math/bits"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"fastmatch/graph"
 	"fastmatch/internal/order"
@@ -24,9 +25,10 @@ type PartitionConfig struct {
 	// true takes ownership of the piece (the caller will process it
 	// elsewhere — FAST-SHARE hands such pieces to the CPU, "reducing the
 	// cost of partitioning" as Section VII-B explains) and stops its
-	// recursion; a taker builds the piece with Offer.Build. A declined offer
-	// costs no allocation, and the piece it priced is never built unless it
-	// is handed out later.
+	// recursion; a taker builds the piece with Offer.Build and, like the
+	// callee of process, recycles it once done with it (CST.Recycle). A
+	// declined offer costs no allocation, and the piece it priced is never
+	// built unless it is handed out later.
 	Steal func(Offer) bool
 	// Cancel, when non-nil, is polled between restrict-and-recurse steps and,
 	// amortised, inside restrict itself. Once it returns true Partition stops
@@ -46,7 +48,9 @@ type Offer struct {
 
 // Build materialises the offered piece. It may be called only inside the
 // Steal call that received the offer; it returns nil when the partition was
-// cancelled, and the same piece when called again.
+// cancelled, and the same piece when called again. The hook that takes the
+// piece holds it: it calls Recycle on it exactly once, when nothing reads
+// it any more.
 func (o Offer) Build() *CST {
 	s := o.s
 	if s.offered == nil {
@@ -87,6 +91,15 @@ func (cfg PartitionConfig) fits(size int64, maxDeg int) bool {
 // W_CST — and its chunks are cut from the last built ancestor, since
 // restricting a restriction at the same u is restricting the ancestor to
 // the composed range.
+//
+// A piece is built into the shell and arenas of a recycled one when its
+// scratch has one spare, so the holder of every piece process receives
+// calls Recycle on it exactly once, when nothing reads it any more. A piece
+// aliases the arenas of the built piece it was cut from, so that ancestor
+// is recycled only once the producer has finished splitting it and every
+// piece cut from it is recycled. A piece never recycled is left to the
+// garbage collector, and keeps its ancestors from reuse. c is its caller's
+// throughout: even handed out whole, it is not reused.
 func Partition(c *CST, o order.Order, cfg PartitionConfig, process func(*CST)) int {
 	s := partitionScratches.Get().(*partitionScratch)
 	defer partitionScratches.Put(s)
@@ -99,6 +112,9 @@ func (s *partitionScratch) partition(c *CST, o order.Order, cfg PartitionConfig,
 	// The scratch carries the cancel hook into restrict itself (amortised
 	// poll), so even a single huge restrict observes cancellation promptly.
 	s.sc.cancel, s.sc.degLimit = cfg.Cancel, cfg.MaxCandDegree
+	if c.spare != nil {
+		c.spare.refs.Add(1) // the producer's hold on a piece partitioned again; its holder keeps theirs
+	}
 	p := partitioner{cfg: cfg, o: o, partitionScratch: s}
 	p.rec(process, c, 0)
 	return p.count
@@ -132,9 +148,12 @@ type partitioner struct {
 	*partitionScratch
 }
 
-// rec is Algorithm 2 on a built piece cur at order position index.
+// rec is Algorithm 2 on a built piece cur at order position index. The
+// producer's hold on cur passes to whoever rec hands it to, or to the split
+// that cuts it.
 func (p *partitioner) rec(process func(*CST), cur *CST, index int) {
 	if p.cfg.cancelled() {
+		cur.Recycle()
 		return
 	}
 	if p.cfg.Fits(cur) || index >= len(p.o) {
@@ -183,7 +202,8 @@ func (p *partitioner) offer(piece *CST, w float64) bool {
 // split cuts a piece at u = o[index] into k chunks of span, a range of a's
 // C(u), and restricts a to each: piece is the piece itself when it is
 // built (then a == piece), or nil when it is the one the scratch last
-// counted, of size size and longest list maxDeg.
+// counted, of size size and longest list maxDeg. A split that cuts a built
+// piece into chunks drops the producer's hold on it once it has cut them.
 func (p *partitioner) split(process func(*CST), a, piece *CST, index int, span [2]int, size int64, maxDeg int) {
 	u := p.o[index]
 	k := min(p.cfg.partitionFactor(size, maxDeg), span[1]-span[0])
@@ -196,6 +216,9 @@ func (p *partitioner) split(process func(*CST), a, piece *CST, index int, span [
 		}
 		p.rec(process, piece, index+1)
 		return
+	}
+	if piece != nil {
+		defer piece.Recycle() // each chunk built holds its own reference
 	}
 	sc := &p.sc
 	for i := 0; i < k; i++ {
@@ -272,9 +295,10 @@ const pollMask = 63
 
 // restrictScratch holds restrict's working state: the count phase's
 // results for the last piece counted (kept bitsets and lists), and the
-// buffers both phases reuse from piece to piece. Only bookkeeping lives
-// here; everything that escapes into a built CST is freshly allocated. A
-// scratch is single-goroutine state, owned by one Partition call at a time.
+// buffers both phases reuse from piece to piece, and the recycled pieces
+// later builds are built into; nothing else escapes into a built CST. A
+// scratch is single-goroutine state, owned by one Partition call at a time,
+// but for its spares, which holders recycle into from any goroutine.
 type restrictScratch struct {
 	// from is the last count's ancestor; the per-vertex state below is in
 	// its index space, for the count's split vertex u.
@@ -301,6 +325,7 @@ type restrictScratch struct {
 	revLen  []int32
 	touched []CandIndex
 	cursor  []uint32 // the transpose's write cursor
+	spares  spares
 
 	// cancel is the owning Partition call's PartitionConfig.Cancel, threaded
 	// into restrict itself so a single huge restrict step observes
@@ -571,8 +596,12 @@ func (sc *restrictScratch) countReverse(f, to graph.QueryVertex) (int, bool) {
 // filtered again where the count filtered them, as they are written, and
 // the reverse direction is the transpose.
 // Everything the piece owns lands in three arenas — candidates, offsets,
-// targets — so a build performs O(1) allocations however many vertices
-// changed.
+// targets — which, with the CST shell, come from a recycled piece when the
+// scratch has one spare: a build performs O(1) allocations however many
+// vertices changed, and none on a spare whose arenas are long enough. Only
+// the offsets are cleared, because the reverse rows are counted into them;
+// candidates and targets are written whole. The piece holds a reference to
+// its ancestor when that is a built piece too.
 //
 // build polls sc's amortised cancel hook once per row block and returns nil
 // once it fires; callers must treat a nil return as "stop producing", never
@@ -581,14 +610,16 @@ func (sc *restrictScratch) build() *CST {
 	a := sc.from
 	n := a.Query.NumVertices()
 	changed, keptList, remap := sc.changed, sc.keptList, sc.remap
-	part := newCST(a.Query, a.Tree)
+	sp := sc.spares.take(a.Query, a.Tree)
+	part := &sp.c
 	totalKept := 0
 	for w := 0; w < n; w++ {
 		if changed[w] {
 			totalKept += len(keptList[w])
 		}
 	}
-	candArena := make([]graph.VertexID, totalKept)
+	sp.cands = remade(sp.cands, totalKept)
+	candArena := sp.cands
 	for w := 0; w < n; w++ {
 		if !changed[w] {
 			part.Cand[w] = a.Cand[w]
@@ -627,8 +658,9 @@ func (sc *restrictScratch) build() *CST {
 		tgtTotal += 2 * sc.targets[p]
 		maxTo = max(maxTo, len(part.Cand[e[1]]))
 	}
-	offArena := make([]int32, offTotal)
-	tgtArena := make([]CandIndex, tgtTotal)
+	sp.offs, sp.tgts = remade(sp.offs, offTotal), remade(sp.tgts, tgtTotal)
+	clear(sp.offs)
+	offArena, tgtArena := sp.offs, sp.tgts
 	sc.cursor = resized(sc.cursor, maxTo)
 	for p, e := range sc.pairs {
 		if sc.polled() {
@@ -650,7 +682,92 @@ func (sc *restrictScratch) build() *CST {
 		part.setAdj(to, f, rev)
 		part.maxDeg = max(part.maxDeg, int(fwd.maxDeg), int(rev.maxDeg))
 	}
+	if sp.from = a.spare; sp.from != nil {
+		sp.from.refs.Add(1)
+	}
 	return part
+}
+
+// spare is a piece a scratch built, with what recycling it needs: the
+// arenas its own candidates and views are cut from, and the references
+// that keep them from reuse while something reads them.
+type spare struct {
+	c     CST
+	refs  atomic.Int32 // its holder's, plus one per live piece cut from c
+	from  *spare       // the built piece c was cut from; nil for Partition's input
+	home  *spares      // where c goes once refs reaches zero
+	cands []graph.VertexID
+	offs  []int32
+	tgts  []CandIndex
+}
+
+// release drops one reference to the piece. At the last, the piece goes
+// back on its list, and then releases its own ancestor.
+func (sp *spare) release() {
+	for sp != nil {
+		switch n := sp.refs.Add(-1); {
+		case n > 0:
+			return
+		case n < 0:
+			panic("cst: a piece was recycled more than once")
+		}
+		from := sp.from
+		// The shell drops what it aliases, so a spare pins no other CST,
+		// and its adjacency table is left zero: the next piece's non-edges
+		// must read invalid.
+		clear(sp.c.Cand)
+		clear(sp.c.adj)
+		sp.c = CST{Cand: sp.c.Cand, adj: sp.c.adj}
+		sp.from = nil
+		sp.home.put(sp)
+		sp = from
+	}
+}
+
+// spares lists the recycled pieces of one scratch. Holders recycle on their
+// own goroutines, also after the Partition call that built the piece has
+// returned, hence the mutex. The list never holds more pieces than the
+// scratch's builds had live at once, and it is dropped with the scratch.
+type spares struct {
+	mu   sync.Mutex
+	list []*spare
+}
+
+func (s *spares) put(sp *spare) {
+	s.mu.Lock()
+	s.list = append(s.list, sp)
+	s.mu.Unlock()
+}
+
+// take returns a piece to build into for query q and tree t, held once:
+// the last one recycled, or a new one when none is spare. Its shell is
+// sized for q, with a zero adjacency table; its arenas are as it was
+// recycled with.
+func (s *spares) take(q *graph.Query, t *order.Tree) *spare {
+	var sp *spare
+	s.mu.Lock()
+	if n := len(s.list); n > 0 {
+		sp, s.list[n-1] = s.list[n-1], nil
+		s.list = s.list[:n-1]
+	}
+	s.mu.Unlock()
+	if sp == nil {
+		sp = &spare{home: s}
+	}
+	nq := q.NumVertices()
+	sp.c = CST{Query: q, Tree: t, Cand: remade(sp.c.Cand, nq), adj: remade(sp.c.adj, nq*nq), spare: sp}
+	sp.refs.Store(1)
+	return sp
+}
+
+// remade returns s with length n: s itself when its capacity suffices, a
+// new slice otherwise — made, not grown, so that it allocates once also
+// under the race detector.
+func remade[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // writeRows writes the rows of the built piece's edge f → to into fwd, in

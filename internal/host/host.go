@@ -482,10 +482,10 @@ type pipeline struct {
 
 	// Producer state, touched only on the producer (the caller's) goroutine.
 	sched      scheduler
-	workload   cst.WorkloadTable // the δ estimate's DP table, reused piece after piece
-	lastResume time.Time         // where the PartitionTime clock last started
-	cpuQueue   []*cst.CST        // Workers <= 1: the δ-share, drained when the producer returns
-	fpgaCh     chan *cst.CST     // Workers > 1: the consumers' bounded queues
+	workload   *cst.WorkloadTable // the δ estimate's DP table, pooled across Match calls
+	lastResume time.Time          // where the PartitionTime clock last started
+	cpuQueue   []*cst.CST         // Workers <= 1: the δ-share, drained when the producer returns
+	fpgaCh     chan *cst.CST      // Workers > 1: the consumers' bounded queues
 	cpuCh      chan *cst.CST
 	stats      []consumerStats // [w] is offload worker w's; [0] the inline pool's
 	shareStats consumerStats   // the δ-share consumer's
@@ -587,6 +587,7 @@ func (p *pipeline) run(c *cst.CST) error {
 					if !p.halted() {
 						p.offload(piece, st)
 					}
+					piece.Recycle()
 				}
 			}(&stats[w])
 		}
@@ -597,6 +598,7 @@ func (p *pipeline) run(c *cst.CST) error {
 				if !p.halted() {
 					p.share(piece, &p.shareStats)
 				}
+				piece.Recycle()
 			}
 		}()
 	}
@@ -612,10 +614,10 @@ func (p *pipeline) run(c *cst.CST) error {
 		// Section V-C: the CPU processes its cached share once partitioning
 		// finishes.
 		for _, piece := range p.cpuQueue {
-			if p.halted() {
-				break
+			if !p.halted() {
+				p.share(piece, &p.shareStats)
 			}
-			p.share(piece, &p.shareStats)
+			piece.Recycle()
 		}
 	}
 
@@ -655,6 +657,9 @@ func (r *Report) merge(st *consumerStats) {
 //
 //fastmatch:recoverbarrier
 func (p *pipeline) produce(c *cst.CST) (err error) {
+	wt := workloadTables.Get().(*cst.WorkloadTable)
+	defer workloadTables.Put(wt)
+	p.workload = wt
 	p.lastResume = time.Now()
 	defer func() {
 		p.rep.PartitionTime += time.Since(p.lastResume)
@@ -682,9 +687,14 @@ func (p *pipeline) steal(o cst.Offer) bool {
 	return true
 }
 
+// workloadTables pools the δ estimate's DP table across Match calls, as
+// enumerators does the δ-share's Enumerator, so a warm Match regrows none.
+var workloadTables = sync.Pool{New: func() any { return new(cst.WorkloadTable) }}
+
 // route is the Partition process callback: the δ test on a finished piece.
 func (p *pipeline) route(piece *cst.CST) {
 	if p.halted() {
+		piece.Recycle()
 		return
 	}
 	w := p.workload.Estimate(piece)
@@ -698,7 +708,10 @@ func (p *pipeline) route(piece *cst.CST) {
 // producer returns — with no channel and no goroutine, which is what keeps a
 // cached-plan one-piece Match at a few dozen allocations
 // (TestMatchAllocsBounded). Workers > 1 feeds the same consumers through the
-// bounded queues.
+// bounded queues. The piece is recycled (cst.Partition's contract) where a
+// consumer returns, or where a halted stage drops it: here after the inline
+// offload, in the consumer loops, never inside offload or share, so the
+// fallback from one to the other recycles once.
 func (p *pipeline) dispatch(piece *cst.CST, toCPU bool) {
 	p.rep.PartitionTime += time.Since(p.lastResume)
 	if toCPU {
@@ -709,6 +722,7 @@ func (p *pipeline) dispatch(piece *cst.CST, toCPU bool) {
 		p.cpuQueue = append(p.cpuQueue, piece)
 	case p.fpgaCh == nil:
 		p.offload(piece, &p.stats[0])
+		piece.Recycle()
 	case toCPU:
 		p.cpuCh <- piece
 	default:
